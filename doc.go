@@ -30,8 +30,7 @@
 //     a whole batch of pairs, a handle layer (Handle/HandleQueue) through
 //     which workers pin per-worker state — on the lock-free backend a
 //     handle carries an epoch slot and a home shard, giving shard-affine
-//     placement with two-choice stealing (ablated against uniform
-//     placement by the affinity experiment) — and a shared conformance,
+//     placement with two-choice stealing — and a shared conformance,
 //     allocation and race-stress suite (cqtest) that any future backend
 //     must pass through the singleton, batch and handle paths;
 //   - a generic parallel relaxed-execution engine (internal/engine) that
@@ -121,11 +120,9 @@
 //		},
 //	})
 //
-// See examples/ for runnable programs and cmd/relaxbench for the
-// experiment harness that regenerates every table and figure of the paper
-// and records per-PR benchmark trajectories (BENCH_*.json; see the README
-// section "Recording benchmark trajectories"; `relaxbench compare OLD NEW`
-// diffs two of them). To add a parallel workload, implement engine.Workload
-// and call engine.Run — see the README section "Adding a parallel
-// workload".
+// See examples/ for runnable programs, cmd/relaxbench for the harness that
+// regenerates the paper's figures and step counts, and bench/ for the
+// benchmark that produces and judges every timing (README section
+// "Measuring"). To add a parallel workload, implement engine.Workload and
+// call engine.Run — see the README section "Adding a parallel workload".
 package relaxsched

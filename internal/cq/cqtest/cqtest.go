@@ -435,9 +435,8 @@ func testBatchConcurrentValuesPreserved(t *testing.T, newQueue Factory) {
 // testScalingSmoke guards against the failure mode whose fix this suite
 // postdates: per-pop cost growing with the simulated contention width
 // until adding threads *lowers* pop throughput (the SprayList's negative
-// thread-scaling recorded through BENCH_PR3.json — every pop paid a
-// full-height search to unlink its victim, and failed claims rescanned
-// from the head). It prefills a threads-wide queue and times a full drain
+// thread-scaling — every pop paid a full-height search to unlink its
+// victim, and failed claims rescanned from the head). It prefills a threads-wide queue and times a full drain
 // by one popper vs threads poppers; the concurrent drain must retain a
 // quarter of the single-popper rate. The tolerance is deliberately
 // generous — this runs under -race, on shared CI machines, and on 1-core

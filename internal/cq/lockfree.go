@@ -60,9 +60,6 @@ type LockFreeMQ struct {
 	// least as many shards as workers (the registry builds threads *
 	// multiplier >= threads of them).
 	nextHome atomic.Uint64
-	// affine disables home-shard preference when false (uniform two-choice
-	// everywhere) — the ablation knob behind NewLockFreeMQUniform.
-	affine bool
 	// anon pools single-operation handles for the plain Queue/BatchQueue
 	// methods; sync.Pool's per-P caching gives even anonymous callers
 	// stable epoch slots and home shards.
@@ -145,25 +142,12 @@ func lfDeleteMin(h *lfnode) *lfnode {
 // NewLockFreeMQ returns a lock-free MultiQueue with q internal shards and
 // shard-affine handle placement.
 func NewLockFreeMQ(q int) *LockFreeMQ {
-	return newLockFreeMQ(q, true)
-}
-
-// NewLockFreeMQUniform returns the same structure with affinity disabled:
-// every handle probes and publishes uniformly at random, exactly the
-// classic MultiQueue placement. It exists for the affinity ablation
-// experiment and for tests; production callers want NewLockFreeMQ.
-func NewLockFreeMQUniform(q int) *LockFreeMQ {
-	return newLockFreeMQ(q, false)
-}
-
-func newLockFreeMQ(q int, affine bool) *LockFreeMQ {
 	if q < 1 {
 		panic("cq: need at least one queue")
 	}
 	c := &LockFreeMQ{
 		queues: make([]lfshard, q),
 		dom:    epoch.NewDomain[lfnode](),
-		affine: affine,
 	}
 	c.anon.New = func() any { return c.NewHandle() }
 	return c
@@ -263,15 +247,6 @@ func publish(s *lfshard, h *lfnode) {
 	}
 }
 
-// shard returns the handle's placement choice for a push: the home shard
-// under affinity, a uniformly random one otherwise.
-func (h *lfHandle) shard(r *rng.Xoshiro) *lfshard {
-	if h.q.affine {
-		return &h.q.queues[h.home]
-	}
-	return &h.q.queues[r.Intn(len(h.q.queues))]
-}
-
 // newNode reinitializes a reused (or freshly allocated) node. Safe exactly
 // because the epoch grace period has passed: no probe can still hold the
 // node, so rewriting prio races nothing.
@@ -282,14 +257,14 @@ func (h *lfHandle) newNode(value, priority int64) *lfnode {
 }
 
 // Push publishes a singleton node — reusing a reclaimed one when available
-// — to the handle's placement shard.
+// — to the handle's home shard.
 //
 //relax:hotpath
 func (h *lfHandle) Push(r *rng.Xoshiro, value, priority int64) {
 	if priority == ReservedPriority {
 		panic("cq: priority MaxInt64 is reserved")
 	}
-	s := h.shard(r)
+	s := &h.q.queues[h.home]
 	publish(s, h.newNode(value, priority))
 	s.size.Add(1)
 }
@@ -310,7 +285,7 @@ func (h *lfHandle) PushBatch(r *rng.Xoshiro, pairs []Pair) {
 		}
 		batch = lfMeld(batch, h.newNode(p.Value, p.Priority))
 	}
-	s := h.shard(r)
+	s := &h.q.queues[h.home]
 	publish(s, batch)
 	s.size.Add(int64(len(pairs)))
 }
@@ -356,9 +331,9 @@ func (h *lfHandle) better(a, b *lfshard) *lfshard {
 // PopBatch detaches the better of two probed shards' heaps, takes up to
 // len(dst) successive minima in place (each detached root is retired to
 // the handle's epoch slot for eventual reuse), and republishes the
-// remainder. Under affinity the first probe pairs the home shard with one
-// random shard — two-choice quality, cache-local on the common path; later
-// probes and the non-affine mode draw both uniformly. After bounded probe
+// remainder. The first probe pairs the home shard with one random shard —
+// two-choice quality, cache-local on the common path; later probes draw
+// both uniformly. After bounded probe
 // attempts it falls back to a full scan, so 0 is returned only when every
 // shard looked empty at inspection time.
 //
@@ -371,7 +346,7 @@ func (h *lfHandle) PopBatch(r *rng.Xoshiro, dst []Pair) int {
 	nq := len(q.queues)
 	for try := 0; try < contentionAttempts; try++ {
 		var a *lfshard
-		if q.affine && try == 0 {
+		if try == 0 {
 			a = &q.queues[h.home]
 		} else {
 			a = &q.queues[r.Intn(nq)]

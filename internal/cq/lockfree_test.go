@@ -111,33 +111,6 @@ func TestLockFreeHandleInterleaving(t *testing.T) {
 	}
 }
 
-// The uniform (affinity-off) variant must satisfy the same contract.
-func TestLockFreeUniformVariant(t *testing.T) {
-	q := NewLockFreeMQUniform(4)
-	if q.RecyclesNodes() != true {
-		t.Fatal("uniform variant must still recycle nodes")
-	}
-	r := rng.New(5)
-	h := q.NewHandle()
-	defer h.Close()
-	for i := int64(0); i < 100; i++ {
-		h.Push(r, i, i)
-	}
-	if q.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", q.Len())
-	}
-	got := 0
-	for {
-		if _, _, ok := h.Pop(r); !ok {
-			break
-		}
-		got++
-	}
-	if got != 100 {
-		t.Fatalf("drained %d of 100", got)
-	}
-}
-
 // Steady-state traffic through a handle must reuse retired nodes by
 // pointer identity: after the epoch pipeline warms up, pops feed pushes.
 func TestLockFreeNodeReuse(t *testing.T) {

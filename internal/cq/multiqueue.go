@@ -132,7 +132,7 @@ func (c *MultiQueue) PushBatch(r *rng.Xoshiro, pairs []Pair) {
 // queues under one lock acquisition. The batch comes from a single queue,
 // so its relaxation is that of the two-choice process at batch granularity:
 // coordination cost drops by the batch size, rank quality degrades
-// gracefully with it — the trade the batchsweep experiment measures.
+// gracefully with it.
 //
 //relax:hotpath
 func (c *MultiQueue) PopBatch(r *rng.Xoshiro, dst []Pair) int {

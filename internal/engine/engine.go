@@ -40,9 +40,7 @@
 // An idle worker does not poll. After a short backoff prefix (a few
 // yields, then a few escalating sleeps — the fast path for sub-millisecond
 // gaps), it parks on a per-worker slot in an internal/park lot and
-// consumes no CPU until an event wakes it. Options.IdleStrategy selects
-// the legacy bounded-sleep polling loop instead (IdleSpin), for
-// benchmarking the difference.
+// consumes no CPU until an event wakes it.
 //
 // Parking is only sound if no worker can sleep while work it should serve
 // is, or becomes, visible. The invariant maintained here is: every action
@@ -100,25 +98,15 @@ import (
 
 // Idle backoff for workers that keep finding the queue empty: a few
 // Gosched yields first (another worker's push is usually in flight), then
-// sleeps that escalate exponentially from idleSleepBase up to idleSleepCap.
-// The sleep matters under oversubscription — spinning idle workers
-// otherwise steal scheduler timeslices from the workers actually producing
-// tasks during frontier ramp-up and drain, which shows up directly as wall
-// time when threads exceed cores. Under the default IdlePark strategy the
-// escalation is cut short: after parkAfterSleeps sleeps the worker parks
-// and costs nothing until a wake. Under IdleSpin the escalation runs to
-// idleSleepCap and stays there — the cap bounds both the polling rate
-// (1 kHz per idle worker) and the worst-case wakeup latency for a late
-// burst at ~1ms.
+// sleeps that escalate exponentially from idleSleepBase, then park. The
+// sleep matters under oversubscription — spinning idle workers otherwise
+// steal scheduler timeslices from the workers actually producing tasks
+// during frontier ramp-up and drain, which shows up directly as wall time
+// when threads exceed cores.
 const (
 	idleYields    = 4
 	idleSleepBase = 20 * time.Microsecond
-	idleSleepCap  = time.Millisecond
-	// idleShiftCap clamps the escalation exponent: idleSleepBase << 6 is
-	// the first value past idleSleepCap, so larger idle counts add nothing
-	// (and must not feed an unbounded shift).
-	idleShiftCap = 6
-	// parkAfterSleeps is the backoff prefix under IdlePark: after this many
+	// parkAfterSleeps is the length of the backoff prefix: after this many
 	// escalating sleeps (20/40/80µs) the worker parks. Long enough that
 	// sub-millisecond gaps in a busy stream never pay a park/unpark round
 	// trip, short enough that a genuinely idle worker reaches zero CPU in
@@ -126,40 +114,18 @@ const (
 	parkAfterSleeps = 3
 )
 
-// idleWait is the shared empty-queue backoff: yield for the first
-// idleYields consecutive empties, then sleep with exponential escalation.
-// Callers reset their idle count to 0 on any successful pop, so a burst
-// after a long quiet stretch restores the fast path immediately.
+// idleWait is one step of the backoff prefix, for idle counts below
+// idleYields+parkAfterSleeps: yield for the first idleYields consecutive
+// empties, then sleep with exponential escalation. Callers reset their idle
+// count to 0 on any successful pop, so a burst after a long quiet stretch
+// restores the fast path immediately.
 func idleWait(idle int) {
 	if idle < idleYields {
 		runtime.Gosched()
 		return
 	}
-	exp := idle - idleYields
-	if exp > idleShiftCap {
-		exp = idleShiftCap
-	}
-	d := idleSleepBase << uint(exp)
-	if d > idleSleepCap {
-		d = idleSleepCap
-	}
-	time.Sleep(d)
+	time.Sleep(idleSleepBase << uint(idle-idleYields))
 }
-
-// IdleStrategy selects what a worker does when the queue stays empty.
-type IdleStrategy int8
-
-const (
-	// IdlePark (the default): back off briefly, then park on the engine's
-	// wakeup lot. An idle execution consumes no CPU; pushes wake parked
-	// workers directly.
-	IdlePark IdleStrategy = iota
-	// IdleSpin: the legacy polling loop — exponential sleeps capped at
-	// idleSleepCap, re-polling forever. Kept as a benchmark baseline (the
-	// idlecost experiment measures it against IdlePark) and an escape
-	// hatch.
-	IdleSpin
-)
 
 // Status is the outcome of one TryExecute attempt.
 type Status int8
@@ -193,8 +159,8 @@ type Workload interface {
 }
 
 // ExecOptions are the engine knobs every parallel workload shares: queue
-// selection and relaxation, worker count, batching, seeding, the idle path
-// and the fault-tolerance machinery. Workload-facing options structs
+// selection and relaxation, worker count, batching, seeding and the
+// fault-tolerance machinery. Workload-facing options structs
 // (sssp.ParallelOptions, sched.StreamOptions, txn.ParallelOptions, ...)
 // embed ExecOptions instead of re-declaring these fields, so a caller
 // configures every workload the same way and new engine knobs reach every
@@ -218,10 +184,6 @@ type ExecOptions struct {
 	// Seed drives the queue randomness (one split-off stream per worker and
 	// per producer).
 	Seed uint64
-	// IdleStrategy selects the workers' empty-queue behavior: IdlePark
-	// (zero value, the default) parks idle workers on an event-driven
-	// wakeup lot; IdleSpin keeps the legacy bounded-sleep polling loop.
-	IdleStrategy IdleStrategy
 	// Deadline, when positive, bounds the run's wall time: Deadline after
 	// Start the execution stops itself exactly as if Stop had been called,
 	// and Run/Wait return a partial Result marked Interrupted with
@@ -273,8 +235,8 @@ type Options struct {
 	// the queue stays empty. Deactivated workers retire to parked reserve
 	// (they still finish any task they pop, so correctness never depends on
 	// the controller) and rejoin within one wake. Requires MinWorkers <=
-	// Threads <= MaxWorkers and IdleStrategy == IdlePark. MaxWorkers == 0
-	// (the default) keeps the fixed pool of exactly Threads workers.
+	// Threads <= MaxWorkers. MaxWorkers == 0 (the default) keeps the fixed
+	// pool of exactly Threads workers.
 	MinWorkers int
 	MaxWorkers int
 }
@@ -395,12 +357,11 @@ func Run(wl Workload, opts Options) (Result, error) {
 // an open system: the caller creates that many Producer handles with
 // NewProducer (plus any later dynamic ones), feeds the frontier through
 // them, closes each, and then Wait returns once every task — seeded,
-// spawned and streamed alike — has been completed. Under the default
-// IdlePark strategy idle workers park and consume no CPU; every push wakes
-// them, a producer closing while every worker is parked broadcasts, and
-// the first worker to observe quiescence broadcasts before exiting, so
-// termination stays prompt with nobody polling (see the package comment
-// for the full argument).
+// spawned and streamed alike — has been completed. Idle workers park and
+// consume no CPU; every push wakes them, a producer closing while every
+// worker is parked broadcasts, and the first worker to observe quiescence
+// broadcasts before exiting, so termination stays prompt with nobody
+// polling (see the package comment for the full argument).
 func Start(wl Workload, opts Options) (*Execution, error) {
 	if opts.Threads < 1 {
 		return nil, fmt.Errorf("engine: need Threads >= 1, got %d", opts.Threads)
@@ -419,9 +380,6 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 		if opts.MaxWorkers < opts.Threads || opts.MinWorkers > opts.Threads {
 			return nil, fmt.Errorf("engine: elastic pool needs MinWorkers <= Threads <= MaxWorkers, got %d <= %d <= %d",
 				opts.MinWorkers, opts.Threads, opts.MaxWorkers)
-		}
-		if opts.IdleStrategy != IdlePark {
-			return nil, fmt.Errorf("engine: elastic workers require IdleStrategy == IdlePark (retired workers live in parked reserve)")
 		}
 		pool = opts.MaxWorkers
 	}
@@ -446,7 +404,6 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 		mq:         mq,
 		counters:   counters,
 		lot:        park.NewLot(pool),
-		strategy:   opts.IdleStrategy,
 		seedRng:    seedRng,
 		threads:    opts.Threads,
 		pool:       pool,
@@ -544,8 +501,7 @@ func (e *Execution) controller() {
 // idle is the shared empty-queue path, called with the worker's out-buffer
 // already flushed (the loops flush before any idle step, so a parked
 // worker never holds invisible pairs) and the phase published as Idle. It
-// returns the next idle count. Under IdleSpin it is the legacy bounded
-// backoff. Under IdlePark the backoff prefix runs first — unless the
+// returns the next idle count. The backoff prefix runs first — unless the
 // worker has been retired by the elastic controller, which parks at once —
 // and then the worker parks: sample the wakeup token, take the cheap outs
 // (a stop or visible quiescence is about to end the loop anyway; a
@@ -557,7 +513,7 @@ func (e *Execution) controller() {
 // it by a producer is never re-parked away without a pop attempt.
 func (e *Execution) idle(ctx *Ctx, ws *workerState, idle int) int {
 	retired := e.elastic && ctx.Worker >= int(e.active.Load())
-	if e.strategy != IdlePark || (!retired && idle < idleYields+parkAfterSleeps) {
+	if !retired && idle < idleYields+parkAfterSleeps {
 		idleWait(idle)
 		return idle + 1
 	}

@@ -25,7 +25,6 @@ type Execution struct {
 	mq       cq.BatchQueue
 	counters *inflight.Counter
 	lot      *park.Lot
-	strategy IdleStrategy
 	threads  int
 	batch    int
 	declared int

@@ -1,9 +1,10 @@
-// Package experiments contains one driver per table and figure of the
-// paper's evaluation (Section 7) plus shape-validation experiments for the
-// theorems (3.3, 4.3, 5.1, 6.1). Each driver returns structured rows and
-// can render itself as an aligned text table; cmd/relaxbench and the
-// repository benchmarks call the same drivers, so CLI output and benchmark
-// output match row for row.
+// Package experiments contains one driver per figure of the paper's
+// evaluation (Section 7) plus shape-validation experiments for the theorems
+// (3.3, 4.3, 5.1, 6.1) and the sequential-model extensions. Each driver
+// returns structured rows and can render itself as an aligned text table;
+// cmd/relaxbench is the only front door. What the drivers report are counts
+// (extra steps, pops, aborts); the one host timing is Figure 1's speedup.
+// Timings are the business of the benchmark in bench/.
 package experiments
 
 import (
@@ -12,22 +13,6 @@ import (
 	"relaxsched/internal/cq"
 	"relaxsched/internal/graph"
 )
-
-// HostEnv records the execution environment a measured row came from.
-// Every row carrying a throughput metric embeds it, so recorded
-// trajectories are self-describing: `relaxbench compare` warns when
-// matched rows were measured on different core counts instead of silently
-// attributing hardware differences to the code (the standing caveat for
-// trajectories recorded on 1-core containers).
-type HostEnv struct {
-	NumCPU     int `json:"NumCPU"`
-	GoMaxProcs int `json:"GOMAXPROCS"`
-}
-
-// Host samples the current execution environment.
-func Host() HostEnv {
-	return HostEnv{NumCPU: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0)}
-}
 
 // Config controls workload sizes so the same drivers scale from unit-test
 // smoke runs to full reproduction runs.
@@ -42,8 +27,7 @@ type Config struct {
 	// MaxThreads caps the thread sweep (0 = runtime.NumCPU()).
 	MaxThreads int
 	// Backend selects the concurrent queue the parallel experiments run on
-	// (zero value = the default MultiQueue). The Backends experiment
-	// ignores this and sweeps every backend.
+	// (zero value = the default MultiQueue).
 	Backend cq.Backend
 }
 

@@ -26,11 +26,9 @@ type StreamOptions struct {
 	// ExecOptions are the shared engine knobs: queue backend and relaxation
 	// multiplier, worker count, batching (here on both sides: workers pop
 	// job batches, and producer pushes buffer until BatchSize jobs
-	// accumulate, flushed on Close), seeding, the idle path (a streaming
-	// scheduler with bursty arrivals wants the default engine.IdlePark),
-	// and Deadline — at expiry the workers drain gracefully (exactly as
-	// TopKStream.Stop), producer pushes are absorbed, and the result is
-	// marked Interrupted.
+	// accumulate, flushed on Close), seeding, and Deadline — at expiry the
+	// workers drain gracefully (exactly as TopKStream.Stop), producer
+	// pushes are absorbed, and the result is marked Interrupted.
 	engine.ExecOptions
 	// Producers is the number of JobProducer handles that will be created
 	// with NewProducer (>= 1). The stream terminates only after every

@@ -53,7 +53,7 @@ func TestParallelTopKExecutesEveryJobOnce(t *testing.T) {
 				}
 				seen[p] = true
 			}
-			if res.MeanRankError < 0 || res.MaxRankError >= total {
+			if res.MeanRankError < 0 || float64(res.MaxRankError) < res.MeanRankError || res.MaxRankError >= total {
 				t.Fatalf("%s/batch%d: implausible rank error %v/%d", backend, batch, res.MeanRankError, res.MaxRankError)
 			}
 		}

@@ -12,8 +12,7 @@ type ParallelOptions struct {
 	// ExecOptions are the shared engine knobs: queue backend and relaxation
 	// multiplier (the paper uses 2 for Figure 1 and sweeps it in Figure 2),
 	// worker count, batching (improved edges accumulate in a per-worker
-	// buffer flushed through PushBatch — relaxbench's batchsweep experiment
-	// measures the quality/throughput trade), seeding, and Deadline — at
+	// buffer flushed through PushBatch), seeding, and Deadline — at
 	// expiry the engine drains gracefully and the result is marked
 	// Interrupted, with the partial distances still valid upper bounds
 	// (relaxation only ever lowers them), making a deadlined run an

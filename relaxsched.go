@@ -182,12 +182,12 @@ func RunIncremental(dag *DAG, s Scheduler, opts RunOptions) (RunResult, error) {
 
 // ExecOptions are the engine knobs shared by every parallel execution
 // path: queue Backend and QueueMultiplier, Threads, BatchSize, Seed,
-// IdleStrategy, Deadline, MaxBlockedRetries, StallTimeout/OnStall and the
-// fault Injector. Every parallel options struct (ParallelSSSPOptions,
-// ParallelRunOptions, ParallelBnBOptions, ParallelMISOptions,
-// ParallelDelaunayOptions, TopKStreamOptions, ParallelTxnOptions) embeds
-// ExecOptions instead of re-declaring these fields, so the engine plumbing
-// is configured identically everywhere:
+// Deadline, MaxBlockedRetries, StallTimeout/OnStall and the fault Injector.
+// Every parallel options struct (ParallelSSSPOptions, ParallelRunOptions,
+// ParallelBnBOptions, ParallelMISOptions, ParallelDelaunayOptions,
+// TopKStreamOptions, ParallelTxnOptions) embeds ExecOptions instead of
+// re-declaring these fields, so the engine plumbing is configured
+// identically everywhere:
 //
 //	relaxsched.ParallelSSSPWith(g, 0, relaxsched.ParallelSSSPOptions{
 //		ExecOptions: relaxsched.ExecOptions{Threads: 8, QueueMultiplier: 2},
@@ -198,18 +198,6 @@ func RunIncremental(dag *DAG, s Scheduler, opts RunOptions) (RunResult, error) {
 // become the nested form above. Field *reads* are unaffected — embedding
 // promotes the fields, so opts.Threads still works.
 type ExecOptions = engine.ExecOptions
-
-// IdleStrategy selects the workers' empty-queue behavior (see ExecOptions):
-// IdlePark (the default) parks idle workers on an event-driven wakeup lot,
-// IdleSpin keeps the legacy bounded-sleep polling loop.
-type IdleStrategy = engine.IdleStrategy
-
-const (
-	// IdlePark parks idle workers; an idle execution consumes no CPU.
-	IdlePark = engine.IdlePark
-	// IdleSpin polls with bounded sleeps (benchmark baseline).
-	IdleSpin = engine.IdleSpin
-)
 
 // QueueBackend names a concurrent relaxed-queue implementation used by the
 // parallel execution paths (RunIncrementalParallel, ParallelSSSP). The zero

@@ -20,6 +20,9 @@ go vet ./...
 echo "== go vet (tools/lint)"
 go -C tools/lint vet ./...
 
+echo "== go vet (bench)"
+go -C bench vet ./...
+
 # staticcheck is pinned and installed in CI; locally it may be absent and
 # must not be fetched implicitly (offline-friendly), so gate on PATH.
 if command -v staticcheck >/dev/null 2>&1; then
