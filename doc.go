@@ -30,7 +30,11 @@
 //     a whole batch of pairs, a handle layer (Handle/HandleQueue) through
 //     which workers pin per-worker state — on the lock-free backend a
 //     handle carries an epoch slot and a home shard, giving shard-affine
-//     placement with two-choice stealing — and a shared conformance,
+//     placement with two-choice stealing; on the MultiQueue it carries a
+//     queue index and a countdown, so a worker sticks to the queue its
+//     last two-choice pop chose for 16 consecutive pops and pushes and
+//     leaves it without waiting when it is empty or held — and a shared
+//     conformance,
 //     allocation and race-stress suite (cqtest) that any future backend
 //     must pass through the singleton, batch and handle paths;
 //   - a generic parallel relaxed-execution engine (internal/engine) that

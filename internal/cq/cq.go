@@ -10,7 +10,10 @@
 //
 //   - MultiQueueBackend: the lock-per-queue MultiQueue — threads x multiplier
 //     4-ary heaps, uniform 2-choice pops over cached atomic tops, TryLock with
-//     bounded rerandomization on contention.
+//     bounded rerandomization on contention. Per-worker handles are sticky:
+//     a handle sends a run of stickiness (16) consecutive single-element
+//     operations to the queue its last two-choice Pop or random Push locked,
+//     giving it up the moment that queue looks empty or is held.
 //   - SprayListBackend: a lazy lock-based skip list (Herlihy-Shavit style
 //     fine-grained locking, logical deletion marks) whose Pop performs a
 //     SprayList-style randomized spray walk instead of removing the head.
@@ -32,6 +35,12 @@
 // PushBatch/PopBatch move whole batches per coordination round. MultiQueue
 // and LockFreeMQ amortize natively; New wraps the rest in a generic
 // fallback so every queue it builds supports the batch API.
+//
+// Beside it sits the handle layer (Handle, HandleQueue, HandleFor): one
+// session per worker, for backends that keep per-worker state. A lock-free
+// handle is an epoch slot and a home shard. A MultiQueue handle is a queue
+// index and a countdown, nothing else: it holds no elements, its Close is a
+// no-op, and like every handle it belongs to one goroutine.
 package cq
 
 import (

@@ -19,6 +19,25 @@ func TestBackendConformance(t *testing.T) {
 	}
 }
 
+// FuzzHandleVsExact feeds operation strings to cqtest.HandleVsExact for
+// every backend: whatever the string, handles and queue-level calls move
+// the same multiset as the exact backend and agree with it on emptiness.
+// The seed corpus runs under plain go test; CI fuzzes for a few seconds.
+func FuzzHandleVsExact(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x04}) // push, pop
+	// Push through one handle, pop through the other until empty, then
+	// through the first: its sticky queue is gone.
+	f.Add([]byte{0x10, 0x20, 0x30, 0x04, 0x0c, 0x0c, 0x0c, 0x04, 0x04})
+	// Batches and queue-level calls between handle operations.
+	f.Add([]byte{0x33, 0x02, 0x0b, 0x07, 0x06, 0x04, 0x3f, 0x06, 0x0e})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		for _, b := range cq.Backends() {
+			cqtest.HandleVsExact(t, cqtest.ForBackend(b), ops)
+		}
+	})
+}
+
 func TestNewDefaultsToMultiQueue(t *testing.T) {
 	q, err := cq.New("", 3, 2)
 	if err != nil {

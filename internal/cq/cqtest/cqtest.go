@@ -16,6 +16,14 @@
 // under concurrency, degenerate to exact priority order when unrelaxed,
 // and reject the reserved priority — whether the backend implements
 // batching natively or through the generic fallback.
+//
+// And it pins the per-worker handle contract (cq.Handle) for every
+// backend, by counting, never by timing: a handle keeps no element to
+// itself (whatever another handle leaves behind it still returns, and it
+// reports empty only when the queue is), one handle's pops stay within a
+// stated rank of the minimum, and any string of handle and queue
+// operations moves the same multiset as the exact backend does
+// (HandleVsExact, which cq's FuzzHandleVsExact drives).
 package cqtest
 
 import (
@@ -62,6 +70,9 @@ func Run(t *testing.T, newQueue Factory) {
 	t.Run("ScalingSmoke", func(t *testing.T) { testScalingSmoke(t, newQueue) })
 	t.Run("HandleConformance", func(t *testing.T) { testHandleConformance(t, newQueue) })
 	t.Run("HandleInjectedDeath", func(t *testing.T) { testHandleInjectedDeath(t, newQueue) })
+	t.Run("HandleFallThrough", func(t *testing.T) { testHandleFallThrough(t, newQueue) })
+	t.Run("HandleRankBound", func(t *testing.T) { testHandleRankBound(t, newQueue) })
+	t.Run("HandleVsExact", func(t *testing.T) { testHandleVsExact(t, newQueue) })
 	t.Run("AllocSteadyState", func(t *testing.T) { testAllocSteadyState(t, newQueue) })
 }
 
@@ -713,6 +724,247 @@ func testHandleInjectedDeath(t *testing.T, newQueue Factory) {
 			t.Fatalf("post-death steady state allocated %.3f allocs/op; the dead handles blocked reclamation", perOp)
 		}
 		t.Logf("post-death steady-state allocations: %.3f allocs/op (gated <= 0.25)", perOp)
+	}
+}
+
+// testHandleFallThrough pins that a handle holds no element and no claim on
+// a queue: whatever state its earlier operations left it in (a sticky
+// queue, a home shard), once another handle has taken elements away it
+// must still return every pair that remains, and report empty only when
+// the structure is empty. Sequential, so Len is exact at every step.
+func testHandleFallThrough(t *testing.T, newQueue Factory) {
+	q := cq.AsBatch(newQueue(t, 2, 2))
+	a, b := cq.HandleFor(q), cq.HandleFor(q)
+	defer a.Close()
+	defer b.Close()
+	r := rng.New(61)
+	next := int64(0)
+	for round := 0; round < 300; round++ {
+		n := 1 + r.Intn(48)
+		live := make(map[int64]bool, n)
+		for i := 0; i < n; i++ {
+			a.Push(r, next, int64(r.Intn(1<<10)))
+			live[next] = true
+			next++
+		}
+		take := func(h cq.Handle, who string) bool {
+			v, _, ok := h.Pop(r)
+			if !ok {
+				if left := q.Len(); left != 0 {
+					t.Fatalf("round %d: handle %s reported empty with %d pairs queued", round, who, left)
+				}
+				return false
+			}
+			if !live[v] {
+				t.Fatalf("round %d: handle %s popped %d, which is not queued", round, who, v)
+			}
+			delete(live, v)
+			return true
+		}
+		// a pops once, so its next pops have somewhere to stick to; b then
+		// takes a random share — often all of a's queue, sometimes all of
+		// every queue — and a must find whatever is left.
+		take(a, "a")
+		for k := r.Intn(n + 1); k > 0 && take(b, "b"); k-- {
+		}
+		for take(a, "a") {
+		}
+		if len(live) != 0 {
+			t.Fatalf("round %d: %d pairs never came back", round, len(live))
+		}
+	}
+}
+
+// rankBoundPerQueue states the rank contract of a handle: one handle
+// draining a queue built from q internal structures pops, on average, a
+// pair of rank at most rankBoundPerQueue*q among those still queued. It is
+// c*s for the MultiQueue's stickiness s = 16 (a run of s pops takes one
+// queue's s best, which are spread over about s*q global ranks) with
+// c = 1; every other backend sits far below it. Raising the stickiness
+// past what this bound allows must be a decision, not a side effect.
+const rankBoundPerQueue = 16
+
+// testHandleRankBound drains a known permutation through one handle and
+// counts how far each pop strays from the minimum. Single goroutine, fixed
+// seeds: the ranks repeat exactly.
+func testHandleRankBound(t *testing.T, newQueue Factory) {
+	const n = 1 << 13
+	for _, shape := range []struct{ threads, mult int }{{1, 1}, {2, 2}, {4, 2}} {
+		nq := shape.threads * shape.mult
+		q := cq.AsBatch(newQueue(t, shape.threads, shape.mult))
+		h := cq.HandleFor(q)
+		r := rng.New(uint64(700 + nq))
+		for _, p := range r.Perm(n) {
+			h.Push(r, int64(p), int64(p))
+		}
+		// queued[i] counts the queued priorities in Fenwick node i, so a
+		// pop's rank is a prefix sum.
+		queued := make([]int, n+1)
+		for i := 1; i <= n; i++ {
+			queued[i] += 1
+			if up := i + i&-i; up <= n {
+				queued[up] += queued[i]
+			}
+		}
+		var sum, worst int
+		for i := 0; i < n; i++ {
+			_, p, ok := h.Pop(r)
+			if !ok {
+				t.Fatalf("%d queues: empty after %d of %d pops", nq, i, n)
+			}
+			rank := 0
+			for j := int(p); j > 0; j -= j & -j {
+				rank += queued[j]
+			}
+			for j := int(p) + 1; j <= n; j += j & -j {
+				queued[j]--
+			}
+			sum += rank
+			worst = max(worst, rank)
+		}
+		h.Close()
+		mean := float64(sum) / n
+		if nq == 1 && worst != 0 {
+			t.Fatalf("1 queue: a pop was %d ranks from the minimum, want exact order", worst)
+		}
+		if bound := float64(rankBoundPerQueue * nq); mean > bound {
+			t.Fatalf("%d queues: mean popped rank %.1f exceeds the stated bound %.0f", nq, mean, bound)
+		}
+		t.Logf("%d queues: mean popped rank %.2f, worst %d (bound %d)", nq, mean, worst, rankBoundPerQueue*nq)
+	}
+}
+
+// HandleVsExact applies one operation per byte of ops to a queue from
+// newQueue — through two handles and the queue-level methods, single and
+// batched — and the same operations to the exact backend. A relaxed pop
+// may pick a different pair than the exact one, so pairs are not compared
+// one by one; what must agree is everything a termination protocol leans
+// on: after every operation both hold the same number of pairs, a pop
+// succeeds on one exactly when it does on the other (so a handle reports
+// empty only when the queue is), and once both are drained the same
+// multiset of (value, priority) pairs has come out. It is the body of cq's
+// FuzzHandleVsExact.
+func HandleVsExact(t *testing.T, newQueue Factory, ops []byte) {
+	t.Helper()
+	q := cq.AsBatch(newQueue(t, 2, 2))
+	ref, err := cq.New(cq.ExactBackend, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles := [2]cq.Handle{cq.HandleFor(q), cq.HandleFor(q)}
+	defer handles[0].Close()
+	defer handles[1].Close()
+	r, rr := rng.New(5), rng.New(5)
+	got, want := map[cq.Pair]int{}, map[cq.Pair]int{}
+	tally := func(m map[cq.Pair]int, v, p int64) { m[cq.Pair{Value: v, Priority: p}]++ }
+	next := int64(0)
+	fresh := func(b byte) cq.Pair {
+		next++
+		return cq.Pair{Value: next, Priority: int64(b >> 4)} // 16 priorities: plenty of ties
+	}
+	var buf [4]cq.Pair
+	for i, b := range ops {
+		h := handles[b>>3&1]
+		switch b & 7 {
+		case 0, 1:
+			p := fresh(b)
+			h.Push(r, p.Value, p.Priority)
+			ref.Push(rr, p.Value, p.Priority)
+		case 2:
+			p := fresh(b)
+			q.Push(r, p.Value, p.Priority)
+			ref.Push(rr, p.Value, p.Priority)
+		case 3:
+			k := 1 + int(b>>4)%len(buf)
+			for j := range buf[:k] {
+				buf[j] = fresh(b + byte(j)<<4)
+			}
+			h.PushBatch(r, buf[:k])
+			ref.PushBatch(rr, buf[:k])
+		case 4, 5, 6:
+			var v, p int64
+			var ok bool
+			if b&7 == 6 {
+				v, p, ok = q.Pop(r)
+			} else {
+				v, p, ok = h.Pop(r)
+			}
+			rv, rp, rok := ref.Pop(rr)
+			if ok != rok {
+				t.Fatalf("op %d (%#02x): pop ok = %v with %d pairs queued, exact says %v", i, b, ok, q.Len(), rok)
+			}
+			if ok {
+				tally(got, v, p)
+				tally(want, rv, rp)
+			}
+		case 7:
+			k := 1 + int(b>>4)%len(buf)
+			n := h.PopBatch(r, buf[:k])
+			for _, p := range buf[:n] {
+				got[p]++
+			}
+			m := ref.PopBatch(rr, buf[:k])
+			for _, p := range buf[:m] {
+				want[p]++
+			}
+			if (n == 0) != (m == 0) {
+				t.Fatalf("op %d (%#02x): PopBatch returned %d with %d pairs queued, exact returned %d", i, b, n, q.Len(), m)
+			}
+			// A batch comes from one internal structure, so it may be
+			// shorter than exact's; level the two before comparing sizes.
+			for ; n < m; n++ {
+				v, p, ok := h.Pop(r)
+				if !ok {
+					t.Fatalf("op %d (%#02x): handle reported empty with %d pairs queued", i, b, q.Len())
+				}
+				tally(got, v, p)
+			}
+		}
+		if a, b := q.Len(), ref.Len(); a != b {
+			t.Fatalf("op %d: Len = %d, exact holds %d", i, a, b)
+		}
+	}
+	for {
+		v, p, ok := handles[0].Pop(r)
+		if !ok {
+			break
+		}
+		tally(got, v, p)
+	}
+	for {
+		v, p, ok := ref.Pop(rr)
+		if !ok {
+			break
+		}
+		tally(want, v, p)
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after the handle reported empty", q.Len())
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d distinct pairs came out, exact returned %d", len(got), len(want))
+	}
+	for p, n := range want {
+		if got[p] != n {
+			t.Fatalf("pair %+v came out %d times, exact returned it %d times", p, got[p], n)
+		}
+	}
+}
+
+// testHandleVsExact runs HandleVsExact over generated operation strings:
+// short ones that keep the queue near empty, where sticky state meets
+// empty queues, and long ones (pushes outnumber pops) that fill every
+// structure.
+func testHandleVsExact(t *testing.T, newQueue Factory) {
+	r := rng.New(2021)
+	for _, length := range []int{0, 1, 7, 64, 512, 4096} {
+		for rep := 0; rep < 8; rep++ {
+			ops := make([]byte, length)
+			for i := range ops {
+				ops[i] = byte(r.Intn(256))
+			}
+			HandleVsExact(t, newQueue, ops)
+		}
 	}
 }
 

@@ -2,10 +2,12 @@ package cq
 
 import "relaxsched/internal/rng"
 
-// Handle is a per-worker session on a queue. Backends that need worker
-// identity — an epoch-reclamation slot to pin, a home shard for cache
-// locality — implement HandleQueue and hand out one Handle per worker;
-// everything a worker pushes or pops then flows through its handle.
+// Handle is a per-worker session on a queue. Backends that keep state per
+// worker — an epoch-reclamation slot to pin and a home shard (LockFreeMQ),
+// the queue a run of operations is sticking to (MultiQueue: an index and a
+// countdown, no buffered elements, Close a no-op) — implement HandleQueue
+// and hand out one Handle per worker; everything a worker pushes or pops
+// then flows through its handle.
 //
 // A Handle is single-goroutine: unlike the Queue methods it must not be
 // shared. Handing a handle from the creating goroutine to its user is fine;
@@ -39,8 +41,9 @@ type Handle interface {
 // HandleQueue is a queue that benefits from per-worker handles. The
 // engine's workers and producers detect it and route their traffic through
 // pinned handles; the plain Queue/BatchQueue methods keep working for
-// callers without a worker identity (they borrow an anonymous handle per
-// operation).
+// callers without a worker identity (each such operation runs on an
+// anonymous handle: a pooled one for LockFreeMQ, a throw-away with no
+// sticky run for MultiQueue).
 type HandleQueue interface {
 	BatchQueue
 	// NewHandle returns a fresh worker session. Handles are cheap; create

@@ -21,9 +21,26 @@ import (
 // atomic incremented on every push/pop becomes the dominant cache-line
 // hot-spot at scale. Len locks queues and is for tests/diagnostics only;
 // concurrent algorithms must track their own in-flight counts.
+//
+// Single-element operations are sticky per worker: a handle (NewHandle)
+// that has just locked a queue — by a two-choice Pop or a random Push —
+// sends its next stickiness-1 Pushes and Pops to that same queue, so a
+// worker's sift-downs walk heap lines its own core wrote last instead of
+// lines the other core did. See mqHandle for the rules that keep this
+// from ever blocking or hiding an element.
 type MultiQueue struct {
 	queues []cqueue
+	sticky int // operations per sticky run; 1 = a fresh draw every time
 }
+
+// stickiness is how many consecutive single-element operations a handle
+// sends to one queue (the s of Williams, Sanders & Dementiev, "Engineering
+// MultiQueues", ESA 2021). It is relaxation: a run of s pops takes one
+// queue's s best pairs, so the effective k of the paper's poly(k) bounds
+// grows by a constant factor. Picked from the measured frontier in README
+// "Measuring" as the largest s whose overhead_ratio stays <= 1.0025 on
+// sssp-road and <= 1.002 on delaunay-uniform.
+const stickiness = 16
 
 // emptyTop is the cached top priority of an empty queue.
 const emptyTop = ReservedPriority
@@ -40,11 +57,15 @@ type cqueue struct {
 }
 
 // NewMultiQueue returns a concurrent MultiQueue with q internal queues.
-func NewMultiQueue(q int) *MultiQueue {
+func NewMultiQueue(q int) *MultiQueue { return newMultiQueue(q, stickiness) }
+
+// newMultiQueue is NewMultiQueue with the stickiness chosen by the caller,
+// so tests can pin the run length (and stickiness 1, no runs at all).
+func newMultiQueue(q, sticky int) *MultiQueue {
 	if q < 1 {
 		panic("cq: need at least one queue")
 	}
-	c := &MultiQueue{queues: make([]cqueue, q)}
+	c := &MultiQueue{queues: make([]cqueue, q), sticky: sticky}
 	for i := range c.queues {
 		c.queues[i].top.Store(emptyTop)
 	}
@@ -74,36 +95,32 @@ func (c *MultiQueue) Len() int {
 // locked, a pusher could spin forever without ever parking.
 const contentionAttempts = 8
 
-// lockSomeQueue acquires and returns a random queue, using TryLock with
-// rerandomization for a bounded number of attempts and then falling back to
-// a blocking Lock on the last choice, so a push under heavy contention
-// parks instead of spinning.
+// lockSomeQueue acquires a random queue and returns its index, using
+// TryLock with rerandomization for a bounded number of attempts and then
+// falling back to a blocking Lock on the last choice, so a push under heavy
+// contention parks instead of spinning.
 //
 //relax:hotpath
-func (c *MultiQueue) lockSomeQueue(r *rng.Xoshiro) *cqueue {
-	var q *cqueue
+func (c *MultiQueue) lockSomeQueue(r *rng.Xoshiro) int {
+	var qi int
 	for try := 0; try < contentionAttempts; try++ {
-		q = &c.queues[r.Intn(len(c.queues))]
-		if q.mu.TryLock() {
-			return q
+		qi = r.Intn(len(c.queues))
+		if c.queues[qi].mu.TryLock() {
+			return qi
 		}
 	}
-	q.mu.Lock() //relax:allow pinregion: bounded-contention fallback — after contentionAttempts TryLock misses, parking on one queue beats unbounded spinning
-	return q
+	c.queues[qi].mu.Lock() //relax:allow pinregion: bounded-contention fallback — after contentionAttempts TryLock misses, parking on one queue beats unbounded spinning
+	return qi
 }
 
 // Push inserts a (value, priority) pair into a random queue. r must be a
-// goroutine-local generator.
+// goroutine-local generator. It is the handle's Push on a throw-away
+// handle with no sticky run, so it always takes the random-queue path.
 //
 //relax:hotpath
 func (c *MultiQueue) Push(r *rng.Xoshiro, value int64, priority int64) {
-	if priority == ReservedPriority {
-		panic("cq: priority MaxInt64 is reserved")
-	}
-	q := c.lockSomeQueue(r)
-	q.h.push(pair{prio: priority, val: value})
-	q.top.Store(q.h.min().prio)
-	q.mu.Unlock()
+	h := mqHandle{c: c}
+	h.Push(r, value, priority)
 }
 
 // PushBatch inserts every pair into one random queue under a single lock
@@ -120,7 +137,7 @@ func (c *MultiQueue) PushBatch(r *rng.Xoshiro, pairs []Pair) {
 			panic("cq: priority MaxInt64 is reserved")
 		}
 	}
-	q := c.lockSomeQueue(r)
+	q := &c.queues[c.lockSomeQueue(r)]
 	for _, p := range pairs {
 		q.h.push(pair{prio: p.Priority, val: p.Value})
 	}
@@ -136,8 +153,18 @@ func (c *MultiQueue) PushBatch(r *rng.Xoshiro, pairs []Pair) {
 //
 //relax:hotpath
 func (c *MultiQueue) PopBatch(r *rng.Xoshiro, dst []Pair) int {
+	_, n := c.popBatch(r, dst)
+	return n
+}
+
+// popBatch is PopBatch that also reports which queue the pairs came from,
+// so a handle can stay on it. The probe policy, lock discipline and scan
+// fallback of every pop, batched or single, sticky or not, live only here.
+//
+//relax:hotpath
+func (c *MultiQueue) popBatch(r *rng.Xoshiro, dst []Pair) (qi, n int) {
 	if len(dst) == 0 {
-		return 0
+		return 0, 0
 	}
 	nq := len(c.queues)
 	for try := 0; try < contentionAttempts; try++ {
@@ -160,7 +187,7 @@ func (c *MultiQueue) PopBatch(r *rng.Xoshiro, dst []Pair) int {
 		n := q.popBatchLocked(dst)
 		q.mu.Unlock()
 		if n > 0 {
-			return n
+			return best, n
 		}
 	}
 	// Probes kept missing: scan all queues, still batching from the first
@@ -174,10 +201,10 @@ func (c *MultiQueue) PopBatch(r *rng.Xoshiro, dst []Pair) int {
 		n := q.popBatchLocked(dst)
 		q.mu.Unlock()
 		if n > 0 {
-			return n
+			return qi, n
 		}
 	}
-	return 0
+	return 0, 0
 }
 
 // popBatchLocked pops up to len(dst) pairs from q, which must be locked,
@@ -200,18 +227,99 @@ func (q *cqueue) popBatchLocked(dst []Pair) int {
 // Pop removes and returns the better of the tops of two random queues.
 // ok is false if the structure appeared empty; with concurrent pushers,
 // callers must use their own termination protocol (e.g. an in-flight
-// counter) rather than trusting a single !ok. It is PopBatch with a batch
-// of one: the probe policy, lock discipline and scan fallback live only
-// there.
+// counter) rather than trusting a single !ok. It is the handle's Pop on a
+// throw-away handle with no sticky run, so it always takes the two-choice
+// path.
 //
 //relax:hotpath
 func (c *MultiQueue) Pop(r *rng.Xoshiro) (value int64, priority int64, ok bool) {
+	h := mqHandle{c: c}
+	return h.Pop(r)
+}
+
+// mqHandle is one worker's session on a MultiQueue: the index of the queue
+// it last locked and a countdown of the single-element operations it may
+// still send there. That is all of it — a handle buffers no elements, so
+// Len, the engine's pre-park re-check and in-flight termination see every
+// pair, and Close has nothing to release.
+//
+// A sticky attempt only ever reads the cached top and TryLocks: a queue
+// that looks empty, is held by someone else, or whose countdown is spent
+// ends the run, and the operation falls through to the path every
+// handle-less caller takes (lockSomeQueue for a Push; popBatch's two-choice
+// probes, bounded rerandomisation and authoritative scan for a Pop), whose
+// queue starts the next run. So a preempted lock holder never makes a
+// sticky worker wait, and Pop's !ok still means every queue looked empty.
+// With one queue both paths are the same queue: threads = 1, multiplier =
+// 1 stays exact.
+//
+// PushBatch and PopBatch go straight to the queue: a batch already is a
+// sticky run, and it neither uses nor moves the handle's queue.
+type mqHandle struct {
+	c    *MultiQueue
+	q    int // queue of the current sticky run
+	left int // operations the run has left; 0 = no run
+	// Handles are allocated back to back by workers starting together;
+	// the pad keeps two workers' countdowns off one cache line.
+	_ [40]byte
+}
+
+// NewHandle returns a worker session carrying the sticky-queue state.
+func (c *MultiQueue) NewHandle() Handle { return &mqHandle{c: c} }
+
+// Close is a no-op: the handle owns nothing.
+func (h *mqHandle) Close() {}
+
+// Push inserts a pair into the handle's sticky queue if it can be locked
+// without waiting, and otherwise into a random queue.
+//
+//relax:hotpath
+func (h *mqHandle) Push(r *rng.Xoshiro, value, priority int64) {
+	if priority == ReservedPriority {
+		panic("cq: priority MaxInt64 is reserved")
+	}
+	c := h.c
+	if h.left > 0 && c.queues[h.q].mu.TryLock() {
+		h.left--
+	} else {
+		h.q, h.left = c.lockSomeQueue(r), c.sticky-1
+	}
+	q := &c.queues[h.q]
+	q.h.push(pair{prio: priority, val: value})
+	q.top.Store(q.h.min().prio)
+	q.mu.Unlock()
+}
+
+// Pop removes the top of the handle's sticky queue if it is non-empty and
+// can be locked without waiting, and otherwise the better of the tops of
+// two random queues.
+//
+//relax:hotpath
+func (h *mqHandle) Pop(r *rng.Xoshiro) (value, priority int64, ok bool) {
+	c := h.c
 	var one [1]Pair
-	if c.PopBatch(r, one[:]) == 0 {
+	if h.left > 0 {
+		h.left--
+		if q := &c.queues[h.q]; q.top.Load() != emptyTop && q.mu.TryLock() {
+			n := q.popBatchLocked(one[:])
+			q.mu.Unlock()
+			if n > 0 {
+				return one[0].Value, one[0].Priority, true
+			}
+		}
+	}
+	qi, n := c.popBatch(r, one[:])
+	if n == 0 {
+		h.left = 0
 		return 0, 0, false
 	}
+	h.q, h.left = qi, c.sticky-1
 	return one[0].Value, one[0].Priority, true
 }
+
+func (h *mqHandle) PushBatch(r *rng.Xoshiro, pairs []Pair) { h.c.PushBatch(r, pairs) }
+
+func (h *mqHandle) PopBatch(r *rng.Xoshiro, dst []Pair) int { return h.c.PopBatch(r, dst) }
 
 // pair is a (priority, value) element of a concurrent queue.
 type pair struct {
@@ -276,6 +384,8 @@ func (h *pairHeap) pop() pair {
 }
 
 var (
-	_ Queue      = (*MultiQueue)(nil)
-	_ BatchQueue = (*MultiQueue)(nil)
+	_ Queue       = (*MultiQueue)(nil)
+	_ BatchQueue  = (*MultiQueue)(nil)
+	_ HandleQueue = (*MultiQueue)(nil)
+	_ Handle      = (*mqHandle)(nil)
 )

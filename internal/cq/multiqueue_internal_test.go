@@ -74,6 +74,118 @@ func TestPushBatchFallsBackToBlockingLock(t *testing.T) {
 	}
 }
 
+// stickyHandle returns a handle on a fresh MultiQueue of nq queues and
+// stickiness s holding n pairs (value = priority = 0..n-1), mid-run: its
+// first Pop has just chosen a queue.
+func stickyHandle(t *testing.T, nq, s, n int) (*MultiQueue, *mqHandle, *rng.Xoshiro) {
+	t.Helper()
+	c := newMultiQueue(nq, s)
+	r := rng.New(11)
+	for i := 0; i < n; i++ {
+		c.Push(r, int64(i), int64(i))
+	}
+	h := c.NewHandle().(*mqHandle)
+	if _, _, ok := h.Pop(r); !ok {
+		t.Fatal("Pop on a full queue returned !ok")
+	}
+	if h.left != s-1 {
+		t.Fatalf("after the first Pop the run has %d operations left, want s-1 = %d", h.left, s-1)
+	}
+	return c, h, r
+}
+
+// A sticky run is one countdown shared by pops and pushes: the s-1
+// operations after a two-choice Pop all land on the queue it chose, and
+// the one after that draws afresh.
+func TestStickyRunSharedByPopAndPush(t *testing.T) {
+	const s = 4
+	c, h, r := stickyHandle(t, 4, s, 400)
+	q := &c.queues[h.q]
+	before := q.h.len()
+	h.Push(r, 1000, 1000)
+	h.Pop(r)
+	h.Push(r, 1001, 1001)
+	if h.left != 0 {
+		t.Fatalf("%d operations left after s-1 sticky ones, want 0", h.left)
+	}
+	if got := q.h.len(); got != before+1 {
+		t.Fatalf("sticky queue holds %d pairs after push, pop, push; want %d", got, before+1)
+	}
+	if got := c.Len(); got != 400 {
+		t.Fatalf("Len = %d, want 400", got)
+	}
+	// Spent: the next operation takes the handle-less path and starts over.
+	h.Push(r, 1002, 1002)
+	if h.left != s-1 {
+		t.Fatalf("a Push after a spent run left %d operations, want s-1 = %d", h.left, s-1)
+	}
+}
+
+// With stickiness 1 a handle is the queue: every operation draws afresh.
+func TestStickinessOneNeverSticks(t *testing.T) {
+	c, h, r := stickyHandle(t, 4, 1, 64)
+	for i := 0; i < 32; i++ {
+		h.Push(r, int64(100+i), int64(i))
+		h.Pop(r)
+		if h.left != 0 {
+			t.Fatalf("stickiness 1 left a run of %d", h.left)
+		}
+	}
+	if got := c.Len(); got != 63 {
+		t.Fatalf("Len = %d, want 63", got)
+	}
+}
+
+// A handle whose sticky queue was emptied behind its back falls through to
+// the two-choice path and still returns every remaining pair; it reports
+// empty only when the structure is.
+func TestStickyQueueEmptiedByAnother(t *testing.T) {
+	const n = 200
+	c, h, r := stickyHandle(t, 4, 8, n)
+	q := &c.queues[h.q]
+	q.mu.Lock()
+	gone := q.popBatchLocked(make([]Pair, n))
+	q.mu.Unlock()
+	for got := 0; ; got++ {
+		if _, _, ok := h.Pop(r); !ok {
+			if want := n - 1 - gone; got != want || c.Len() != 0 {
+				t.Fatalf("handle reported empty after %d of %d pops, Len = %d", got, want, c.Len())
+			}
+			break
+		}
+	}
+}
+
+// A sticky attempt never waits for a lock. With the sticky queue held (a
+// preempted peer), Pop and Push through the handle finish on other queues
+// and leave the held one alone. The test itself holds the lock, so a call
+// that waited for it would never return.
+func TestStickyHandleNeverWaitsForItsQueue(t *testing.T) {
+	c, h, r := stickyHandle(t, 4, 8, 400)
+	held := h.q
+	q := &c.queues[held]
+	q.mu.Lock()
+	before := q.h.len()
+	if _, _, ok := h.Pop(r); !ok {
+		t.Fatal("Pop reported empty with three unlocked queues full")
+	}
+	if h.q == held {
+		t.Fatal("Pop claims to have taken the held queue")
+	}
+	h.q, h.left = held, 5 // back onto the held queue, mid-run
+	h.Push(r, 1000, 1000)
+	if h.q == held {
+		t.Fatal("Push claims to have taken the held queue")
+	}
+	if got := q.h.len(); got != before {
+		t.Fatalf("held queue went from %d to %d pairs", before, got)
+	}
+	q.mu.Unlock()
+	if got := c.Len(); got != 400-2+1 {
+		t.Fatalf("Len = %d, want %d", got, 400-2+1)
+	}
+}
+
 // BenchmarkPushSingleQueueContended drives every worker at a one-queue
 // MultiQueue: nearly all TryLock attempts fail, so the per-push cost is
 // dominated by rerandomized retries and the blocking fallback — the path

@@ -11,7 +11,10 @@ import (
 )
 
 // Fig1Row is one point of Figure 1: parallel SSSP over a MultiQueue with
-// queues = 2 x threads, on one graph family at one thread count.
+// queues = 2 x threads, on one graph family at one thread count. The run
+// goes through the engine, whose workers hold sticky queue handles, so on
+// the default backend the overhead is that of the two-choice process with
+// stickiness 16, not of a fresh draw per operation.
 type Fig1Row struct {
 	Graph     string
 	Threads   int

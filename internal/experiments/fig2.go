@@ -12,6 +12,8 @@ import (
 // the queue multiplier (queues = multiplier x threads) at a fixed thread
 // count. The multiplier is proportional to the MultiQueue's average
 // relaxation factor [4], so this sweeps k while holding parallelism fixed.
+// As in Figure 1 the workers' handles are sticky on the default backend,
+// which scales every point's k by the same constant.
 type Fig2Row struct {
 	Graph      string
 	Threads    int

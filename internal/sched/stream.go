@@ -113,11 +113,30 @@ type execRecord struct {
 	priority int64
 }
 
-// execLog is one worker's private execution log, padded so neighbouring
-// workers' append bookkeeping never false-shares.
+// execLogChunk is how many records one chunk of an execLog holds. Chunks
+// are allocated as the log fills, so an idle stream holds none and a busy
+// one never copies a record: bytes allocated per job are the record plus
+// its share of a chunk pointer, whatever share of the jobs each worker
+// runs. One slice grown by append would re-copy itself at every doubling
+// and make that figure a step function of worker balance.
+const execLogChunk = 1024
+
+// execLog is one worker's private execution log, a list of fixed-size
+// chunks, padded so neighbouring workers' append bookkeeping never
+// false-shares.
 type execLog struct {
-	recs []execRecord
-	_    [104]byte // pad the 24-byte slice header to two 64-byte lines
+	chunks [][]execRecord
+	_      [104]byte // pad the 24-byte slice header to two 64-byte lines
+}
+
+// add appends one record, opening a new chunk when the last one is full.
+func (l *execLog) add(rec execRecord) {
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == execLogChunk {
+		l.chunks = append(l.chunks, make([]execRecord, 0, execLogChunk))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], rec)
 }
 
 func (w *topkWorkload) Frontier(func(value, priority int64)) {
@@ -134,8 +153,7 @@ func (w *topkWorkload) TryExecute(ctx *engine.Ctx, value, priority int64) engine
 		w.execute(ctx.Worker, value, priority)
 	}
 	pos := w.next.Add(1) - 1
-	l := &w.logs[ctx.Worker]
-	l.recs = append(l.recs, execRecord{pos: pos, priority: priority})
+	w.logs[ctx.Worker].add(execRecord{pos: pos, priority: priority})
 	return engine.Executed
 }
 
@@ -207,8 +225,10 @@ func (s *TopKStream) Wait() StreamResult {
 	st := s.exec.Wait()
 	exec := make([]int64, s.wl.next.Load())
 	for i := range s.wl.logs {
-		for _, rec := range s.wl.logs[i].recs {
-			exec[rec.pos] = rec.priority
+		for _, chunk := range s.wl.logs[i].chunks {
+			for _, rec := range chunk {
+				exec[rec.pos] = rec.priority
+			}
 		}
 	}
 	mean, maxErr := rankErrors(exec)

@@ -206,7 +206,11 @@ type QueueBackend = cq.Backend
 
 const (
 	// BackendMultiQueue is the lock-per-queue MultiQueue with 2-choice pops
-	// (the paper's Section 7 structure; the default).
+	// (the paper's Section 7 structure; the default). Each worker stays on
+	// the queue its last two-choice pop chose for 16 consecutive
+	// single-element operations (sticky handles), which multiplies the
+	// effective relaxation k by a constant and keeps a worker's heap
+	// traffic on its own core's cache lines.
 	BackendMultiQueue = cq.MultiQueueBackend
 	// BackendSprayList is the lazy lock-based skip list with spray-height
 	// pops (SprayList, PPoPP 2015).
