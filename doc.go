@@ -56,7 +56,8 @@
 //     through per-triangle atomic claim states and reports Blocked when a
 //     racing insertion owns part of it, while destroyed triangles carry
 //     redirects so later insertions re-locate by the Guibas-Knuth history
-//     walk; the mesh is verified equal to the sequential Triangulate
+//     walk (entered at an earlier neighbour's star, found through a static
+//     grid, rather than at the root); the mesh is verified equal to the sequential Triangulate
 //     output (MeshesEqual). Since PR 5 the engine is also an *open system*:
 //     external Producer handles (engine.Start + NewProducer) stream
 //     prioritized tasks into the queue from outside the worker pool while

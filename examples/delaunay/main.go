@@ -92,6 +92,8 @@ func main() {
 	}
 	fmt.Printf("parallel x%d:  %d pops for %d insertions -> %d blocked retries; mesh matches: %v\n",
 		*threads, pres.Pops, pres.Inserted, pres.Blocked, relaxsched.MeshesEqual(parTris, seqTris))
+	fmt.Printf("locating:     %.1f history stars scanned per point, %d first locates started at the root\n",
+		float64(pres.DescentSteps)/float64(max(pres.Inserted, 1)), pres.SeedFallbacks)
 	if !relaxsched.MeshesEqual(parTris, seqTris) {
 		log.Fatal("parallel mesh differs from sequential mesh")
 	}

@@ -14,12 +14,13 @@
 // The implementation uses a super-triangle whose vertices lie far outside
 // the input's bounding box; triangles incident to super vertices are
 // excluded from the reported mesh. Predicates are exact (package geom), so
-// the algorithm is robust for all float64 inputs; exact duplicate points
-// are rejected.
+// the algorithm is robust for all finite float64 inputs; exact duplicate
+// points and non-finite coordinates are rejected.
 package delaunay
 
 import (
 	"fmt"
+	"math"
 
 	"relaxsched/internal/core"
 	"relaxsched/internal/geom"
@@ -98,30 +99,36 @@ func New(points []geom.Point) *Triangulation {
 	return t
 }
 
+// boundingBox returns the axis-aligned bounding box of points (the unit
+// square when there are none).
+func boundingBox(points []geom.Point) (minX, minY, maxX, maxY float64) {
+	if len(points) == 0 {
+		return 0, 0, 1, 1
+	}
+	minX, minY = points[0].X, points[0].Y
+	maxX, maxY = minX, minY
+	for _, p := range points[1:] {
+		if p.X < minX {
+			minX = p.X
+		}
+		if p.X > maxX {
+			maxX = p.X
+		}
+		if p.Y < minY {
+			minY = p.Y
+		}
+		if p.Y > maxY {
+			maxY = p.Y
+		}
+	}
+	return minX, minY, maxX, maxY
+}
+
 // superVertices returns the three vertices of a super-triangle lying far
 // outside the bounding box of points, so no input point's circumcircle
 // relationship with real triangles is disturbed by the artificial corners.
 func superVertices(points []geom.Point) (sa, sb, sc geom.Point) {
-	minX, minY := 0.0, 0.0
-	maxX, maxY := 1.0, 1.0
-	if len(points) > 0 {
-		minX, minY = points[0].X, points[0].Y
-		maxX, maxY = minX, minY
-		for _, p := range points[1:] {
-			if p.X < minX {
-				minX = p.X
-			}
-			if p.X > maxX {
-				maxX = p.X
-			}
-			if p.Y < minY {
-				minY = p.Y
-			}
-			if p.Y > maxY {
-				maxY = p.Y
-			}
-		}
-	}
+	minX, minY, maxX, maxY := boundingBox(points)
 	span := maxX - minX
 	if maxY-minY > span {
 		span = maxY - minY
@@ -320,7 +327,7 @@ type Triangle struct {
 // Triangles returns the triangles of the current mesh, excluding those
 // incident to the artificial super-triangle vertices.
 func (t *Triangulation) Triangles() []Triangle {
-	var out []Triangle
+	out := make([]Triangle, 0, 2*t.n) // n points have fewer than 2n faces
 	for i := range t.tris {
 		tr := &t.tris[i]
 		if !tr.alive {
@@ -353,9 +360,25 @@ func (t *Triangulation) CheckDelaunay() error {
 	return nil
 }
 
+// checkFinite rejects NaN and infinite coordinates: the predicates are
+// exact only for finite inputs (geom's exact fallback cannot represent
+// anything else), so every entry point refuses them before doing any work.
+func checkFinite(points []geom.Point) error {
+	for i, p := range points {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return fmt.Errorf("delaunay: point %d has a non-finite coordinate (%v, %v)", i, p.X, p.Y)
+		}
+	}
+	return nil
+}
+
 // Triangulate builds the Delaunay triangulation of points, inserting in the
-// given order (pass nil for 0..n-1). It returns the mesh triangles.
+// given order (pass nil for 0..n-1). It returns the mesh triangles; points
+// with a NaN or infinite coordinate are rejected.
 func Triangulate(points []geom.Point, order []int) ([]Triangle, error) {
+	if err := checkFinite(points); err != nil {
+		return nil, err
+	}
 	t := New(points)
 	if order == nil {
 		for i := range points {
@@ -380,7 +403,11 @@ func Triangulate(points []geom.Point, order []int) ([]Triangle, error) {
 // (0..n-1) and returns the dependency DAG of Section 3 together with the
 // finished triangulation. Points must already be in the (random) label
 // order; shuffle before calling to model a randomized incremental run.
+// Non-finite coordinates are rejected as in Triangulate.
 func BuildDAG(points []geom.Point) (*core.DAG, *Triangulation, error) {
+	if err := checkFinite(points); err != nil {
+		return nil, nil, err
+	}
 	t := New(points)
 	dag := core.NewDAG(len(points))
 	t.OnDepend(func(i, j int) { dag.AddDep(i, j) })

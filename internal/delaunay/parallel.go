@@ -29,6 +29,17 @@ import (
 // walk). The final mesh is the Delaunay triangulation, which for points in
 // general position is unique — identical to the sequential Triangulate
 // output for any insertion order.
+//
+// A point's first locate does not start that walk at the root of the
+// history: a static pyramid of grids over the bounding box (seedGrid) names,
+// for every cell, the earliest-inserted point that falls in it, and the
+// cavity seed that point left in hint — a dead triangle whose redirect range
+// is the point's own star — is a far better place to start. Any triangle
+// whose closed region contains p, alive or dead, is a valid start of the
+// descent, and a seed is only taken after one of its star triangles passed
+// InTriangle on immutable vertices; so locating stays a read-only walk over
+// immutable data that takes no claim and no lock, and the descent from
+// triangle 0 remains the one fallback.
 
 // Claim states of one concurrent triangle. Free triangles are alive and
 // unowned; a claimed triangle is being read or restructured by exactly one
@@ -83,17 +94,29 @@ type ParallelResult struct {
 	Blocked int64
 	// Tris is the total number of triangles ever allocated.
 	Tris int64
+	// DescentSteps counts the history stars scanned while locating, over all
+	// attempts: every level of a descent and every seed candidate tried.
+	// DescentSteps/Inserted is the locate cost per point (~3 ln n when every
+	// descent starts at the root).
+	DescentSteps int64
+	// SeedFallbacks counts first locates that found no usable seed and began
+	// at triangle 0, the root of the history.
+	SeedFallbacks int64
 }
 
 // parScratch is the per-worker retriangulation scratch (the concurrent
-// analogue of Triangulation's cavity/candidates/byFirst state).
+// analogue of Triangulation's cavity state) and the worker's share of the
+// locate counters, summed after the run. Padded to whole cache lines:
+// neighbouring workers rewrite their slice headers on every insertion.
 type parScratch struct {
 	cavity   []int32
 	boundary []int32
 	claimed  []int32
 	edges    []pedge
-	byFirst  map[int32]int32
-	bySecond map[int32]int32
+
+	descentSteps  int64
+	seedFallbacks int64
+	_             [16]byte
 }
 
 // pedge is one cavity boundary edge: directed (a, b) with the outer
@@ -111,20 +134,110 @@ type parTriangulation struct {
 	order []int // insertion permutation; priority = position
 
 	// hint[p] is the last triangle (possibly dead by now) known to contain
-	// point p. Only the current holder of p's task reads or writes it, and
-	// the queue's internal synchronization orders a Blocked attempt's write
-	// before the re-inserted pair's next pop — so no atomics are needed.
-	hint []int32
+	// point p; -1 = never located. Only the current holder of p's task
+	// writes it, but the first locate of any nearby point reads it through
+	// the seed grid — once p is inserted it is p's cavity seed, the way into
+	// p's star — hence atomic.
+	hint []atomic.Int32
+	grid seedGrid
 
-	chunks  []atomic.Pointer[ptriChunk]
-	cursor  atomic.Int64 // next free arena id
-	maxTris int64
+	chunks      []atomic.Pointer[ptriChunk]
+	chunkAllocs atomic.Int64 // chunks allocated, lost installs included
+	cursor      atomic.Int64 // next free arena id
+	maxTris     int64
 
 	scratch []parScratch
 
 	failed atomic.Bool // fast-path flag: drain remaining tasks on error
 	errMu  sync.Mutex
 	err    error
+}
+
+// seedCellPoints bounds the points per cell on the finest level of the seed
+// grid, which is the coarsest one averaging no more than this. Measured, not
+// configurable: README "Measuring" has the sweep.
+const seedCellPoints = 2
+
+// seedGrid is a static pyramid of grids over the input's bounding box:
+// level l has 2^l × 2^l cells, and every cell names the point of earliest
+// permutation position that falls in it (-1: none does). It is built once,
+// before the run, and never written again.
+type seedGrid struct {
+	minX, minY     float64
+	scaleX, scaleY float64 // finest-level cells per unit of length
+	top            int     // the finest level
+	first          []int32 // all levels, coarsest first, each row-major
+}
+
+// level returns the cells of level l.
+func (g *seedGrid) level(l int) []int32 {
+	off := (1<<(2*l) - 1) / 3 // 4^0 + ... + 4^(l-1)
+	return g.first[off : off+1<<(2*l)]
+}
+
+func newSeedGrid(points []geom.Point, order []int) seedGrid {
+	n := len(points)
+	var g seedGrid
+	for seedCellPoints<<(2*g.top) < n {
+		g.top++
+	}
+	g.first = make([]int32, (4<<(2*g.top)-1)/3)
+	for i := range g.first {
+		g.first[i] = -1
+	}
+
+	minX, minY, maxX, maxY := boundingBox(points)
+	g.minX, g.minY = minX, minY
+	// A zero extent leaves scale 0 (one row or column of cells); an overflowed
+	// or denormal one gives 0 or +Inf, which cell's clamp absorbs.
+	side := float64(int(1) << g.top)
+	if maxX > minX {
+		g.scaleX = side / (maxX - minX)
+	}
+	if maxY > minY {
+		g.scaleY = side / (maxY - minY)
+	}
+
+	// Finest level: walking the permutation backwards leaves the earliest
+	// position in every cell. Coarser levels: the minimum over the four
+	// children, with -1 read as the largest unsigned value so that an empty
+	// child never wins. Positions become point ids at the end.
+	fine := g.level(g.top)
+	for pos := n - 1; pos >= 0; pos-- {
+		ix, iy := g.cell(points[order[pos]])
+		fine[iy<<g.top|ix] = int32(pos)
+	}
+	for l := g.top - 1; l >= 0; l-- {
+		coarse := g.level(l)
+		for i, c := range g.level(l + 1) {
+			x, y := i&(2<<l-1), i>>(l+1)
+			if d := &coarse[(y>>1)<<l|x>>1]; uint32(c) < uint32(*d) {
+				*d = c
+			}
+		}
+	}
+	for i, pos := range g.first {
+		if pos >= 0 {
+			g.first[i] = int32(order[pos])
+		}
+	}
+	return g
+}
+
+// cell returns pp's cell on the finest level. It is total: anything outside
+// the box, NaN included, lands on a border cell.
+func (g *seedGrid) cell(pp geom.Point) (ix, iy int) {
+	return gridCoord((pp.X-g.minX)*g.scaleX, 1<<g.top), gridCoord((pp.Y-g.minY)*g.scaleY, 1<<g.top)
+}
+
+func gridCoord(f float64, side int) int {
+	if !(f >= 0) { // negative or NaN
+		return 0
+	}
+	if f >= float64(side) {
+		return side - 1
+	}
+	return int(f)
 }
 
 // newParallel builds the shared state: points + super-triangle, the root
@@ -156,9 +269,13 @@ func newParallel(points []geom.Point, order []int) (*parTriangulation, error) {
 		pts:     make([]geom.Point, n, n+3),
 		n:       n,
 		order:   order,
-		hint:    make([]int32, n),
+		hint:    make([]atomic.Int32, n),
+		grid:    newSeedGrid(points, order),
 		maxTris: maxTris,
 		chunks:  make([]atomic.Pointer[ptriChunk], (maxTris+ptriChunkSize-1)>>ptriChunkBits),
+	}
+	for i := range w.hint {
+		w.hint[i].Store(-1)
 	}
 	copy(w.pts, points)
 	sa, sb, sc := superVertices(points)
@@ -180,17 +297,35 @@ func (w *parTriangulation) tri(id int32) *ptri {
 
 // alloc reserves k consecutive arena ids, materializing any chunks the
 // range touches. ok is false when the arena bound is exhausted.
+//
+// Zeroing a chunk takes as long as an insertion, so if every reservation
+// that found its chunk missing allocated one, racing workers would routinely
+// all do so and all but one would lose the CAS. Instead the one reservation
+// whose range enters a chunk — the cursor hands out each id once, so it is
+// unique — materializes the *next* chunk, a whole chunk of insertions before
+// anyone needs it. Nothing waits on that: a reservation that still finds its
+// chunk missing (chunk 0; a look-ahead descheduled mid-allocation) installs
+// one itself.
 func (w *parTriangulation) alloc(k int) (int32, bool) {
 	base := w.cursor.Add(int64(k)) - int64(k)
 	if base+int64(k) > w.maxTris {
 		return 0, false
 	}
-	for ci := base >> ptriChunkBits; ci <= (base+int64(k)-1)>>ptriChunkBits; ci++ {
-		if w.chunks[ci].Load() == nil {
-			w.chunks[ci].CompareAndSwap(nil, new(ptriChunk))
-		}
+	first, last := base>>ptriChunkBits, (base+int64(k)-1)>>ptriChunkBits
+	if next := last + 1; (base-1)>>ptriChunkBits != last && next < int64(len(w.chunks)) {
+		w.installChunk(next)
+	}
+	for ci := first; ci <= last; ci++ {
+		w.installChunk(ci)
 	}
 	return int32(base), true
+}
+
+func (w *parTriangulation) installChunk(ci int64) {
+	if w.chunks[ci].Load() == nil {
+		w.chunkAllocs.Add(1)
+		w.chunks[ci].CompareAndSwap(nil, new(ptriChunk))
+	}
 }
 
 func (w *parTriangulation) inConflict(tr *ptri, pp geom.Point) bool {
@@ -209,6 +344,42 @@ func (w *parTriangulation) containingChild(tr *ptri, pp geom.Point) (int32, bool
 		}
 	}
 	return 0, false
+}
+
+// seedTriangle picks where a point's first descent starts. From p's finest
+// grid cell to the coarsest, it takes the cell's earliest point v: if v has
+// been inserted, hint[v] is v's cavity seed — a dead triangle whose redirect
+// range is v's star, published by the dead mark — and a star triangle
+// containing p is a valid start many levels below the root. A candidate
+// that does not work out (v is p itself or not inserted yet, or p lies
+// outside its star) only moves the search to the next coarser cell, whose
+// earliest point came earlier and has a larger star; triangle 0 is what is
+// left when every level fails.
+func (w *parTriangulation) seedTriangle(s *parScratch, pp geom.Point) int32 {
+	g := &w.grid
+	ix, iy := g.cell(pp)
+	prev := int32(-1)
+	for l := g.top; l >= 0; l, ix, iy = l-1, ix>>1, iy>>1 {
+		v := g.level(l)[iy<<l|ix]
+		if v < 0 || v == prev {
+			continue
+		}
+		prev = v
+		h := w.hint[v].Load()
+		if h < 0 {
+			continue
+		}
+		tr := w.tri(h)
+		if tr.state.Load() != ptriDead {
+			continue
+		}
+		s.descentSteps++
+		if c, ok := w.containingChild(tr, pp); ok {
+			return c
+		}
+	}
+	s.seedFallbacks++
+	return 0
 }
 
 func (w *parTriangulation) releaseAll(claimed []int32) {
@@ -255,15 +426,20 @@ func (w *parTriangulation) TryExecute(ctx *engine.Ctx, value, _ int64) engine.St
 	s := &w.scratch[ctx.Worker]
 
 	// 1. Locate: descend the history redirects from the last known triangle
-	// to the alive triangle containing p. Dead triangles' redirect ranges
-	// are immutable once the dead mark is visible, so the walk needs no
-	// claims; it ends on an alive (free or transiently claimed) triangle.
-	t := w.hint[p]
+	// — on the first attempt, from an earlier neighbour's star — to the alive
+	// triangle containing p. Dead triangles' redirect ranges are immutable
+	// once the dead mark is visible, so the walk needs no claims; it ends on
+	// an alive (free or transiently claimed) triangle.
+	t := w.hint[p].Load()
+	if t < 0 {
+		t = w.seedTriangle(s, pp)
+	}
 	for {
 		tr := w.tri(t)
 		if tr.state.Load() != ptriDead {
 			break
 		}
+		s.descentSteps++
 		child, ok := w.containingChild(tr, pp)
 		if !ok {
 			w.fail(fmt.Errorf("delaunay: parallel: history descent lost point %d", p))
@@ -271,7 +447,9 @@ func (w *parTriangulation) TryExecute(ctx *engine.Ctx, value, _ int64) engine.St
 		}
 		t = child
 	}
-	w.hint[p] = t // keep the descent's progress across Blocked attempts
+	// Keep the descent's progress across Blocked attempts; once p is in, this
+	// is its cavity seed and what neighbours' first locates start from.
+	w.hint[p].Store(t)
 
 	// 2. Claim the containing triangle — the cavity seed. A failed CAS
 	// means a racing insertion owns it (or just killed it): the dependency
@@ -338,15 +516,11 @@ func (w *parTriangulation) TryExecute(ctx *engine.Ctx, value, _ int64) engine.St
 		w.fail(fmt.Errorf("delaunay: parallel: triangle arena exhausted (%d triangles)", w.maxTris))
 		return engine.Discarded
 	}
-	clear(s.byFirst)
-	clear(s.bySecond)
 	for i, e := range s.edges {
 		nt := base + int32(i)
 		tr := w.tri(nt)
 		tr.v = [3]int32{e.a, e.b, p}
 		tr.nb = [3]int32{-1, -1, e.outer}
-		s.byFirst[e.a] = nt
-		s.bySecond[e.b] = nt
 		if e.outer >= 0 {
 			out := w.tri(e.outer)
 			for x := 0; x < 3; x++ {
@@ -357,12 +531,17 @@ func (w *parTriangulation) TryExecute(ctx *engine.Ctx, value, _ int64) engine.St
 			}
 		}
 	}
-	// Triangle (a, b, p) meets byFirst[b] across edge (b, p) and
-	// bySecond[a] across edge (p, a).
-	for i := range s.edges {
-		tr := w.tri(base + int32(i))
-		tr.nb[0] = s.byFirst[tr.v[1]]
-		tr.nb[1] = s.bySecond[tr.v[0]]
+	// Triangle i = (a, b, p) meets, across edge (b, p), the triangle j whose
+	// first vertex is b — which in turn meets i across its edge (p, a). The
+	// boundary is a handful of edges, so a scan beats any index.
+	for i, e := range s.edges {
+		for j, f := range s.edges {
+			if f.a == e.b {
+				w.tri(base + int32(i)).nb[0] = base + int32(j)
+				w.tri(base + int32(j)).nb[1] = base + int32(i)
+				break
+			}
+		}
 	}
 
 	// 5. Publish: stamp each cavity triangle with the star's id range and
@@ -386,7 +565,7 @@ func (w *parTriangulation) TryExecute(ctx *engine.Ctx, value, _ int64) engine.St
 // excluding super-triangle-incident faces.
 func (w *parTriangulation) triangles() []Triangle {
 	total := w.cursor.Load()
-	var out []Triangle
+	out := make([]Triangle, 0, 2*w.n) // n points have fewer than 2n faces
 	for id := int64(0); id < total; id++ {
 		tr := w.tri(int32(id))
 		if tr.state.Load() == ptriDead {
@@ -409,25 +588,31 @@ func (w *parTriangulation) triangles() []Triangle {
 // never correctness, because the Delaunay triangulation of points in
 // general position is unique. The mesh therefore equals Triangulate's for
 // the same points (compare with MeshesEqual; triangle order differs).
+// Input is validated before any worker starts: an invalid order, or a NaN or
+// infinite coordinate, is an error (a panic inside an insertion would leave
+// its cavity claimed forever and the run would never end).
 func ParallelTriangulate(points []geom.Point, order []int, opts ParallelOptions) ([]Triangle, ParallelResult, error) {
 	if opts.Threads < 1 {
 		return nil, ParallelResult{}, fmt.Errorf("delaunay: need Threads >= 1, got %d", opts.Threads)
+	}
+	if err := checkFinite(points); err != nil {
+		return nil, ParallelResult{}, err
 	}
 	w, err := newParallel(points, order)
 	if err != nil {
 		return nil, ParallelResult{}, err
 	}
 	w.scratch = make([]parScratch, opts.Threads)
-	for i := range w.scratch {
-		w.scratch[i].byFirst = make(map[int32]int32, 8)
-		w.scratch[i].bySecond = make(map[int32]int32, 8)
-	}
 	stats, err := engine.Run(w, engine.Options{ExecOptions: opts.ExecOptions})
 	res := ParallelResult{
 		Inserted: stats.Executed,
 		Pops:     stats.Popped,
 		Blocked:  stats.Reinserted,
 		Tris:     w.cursor.Load(),
+	}
+	for i := range w.scratch {
+		res.DescentSteps += w.scratch[i].descentSteps
+		res.SeedFallbacks += w.scratch[i].seedFallbacks
 	}
 	if err != nil {
 		return nil, res, fmt.Errorf("delaunay: %w", err)

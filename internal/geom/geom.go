@@ -6,8 +6,11 @@
 // Both predicates use a fast float64 path with a forward-error-bound filter
 // in the style of Shewchuk's adaptive predicates; when the filter cannot
 // certify the sign, they fall back to exact rational arithmetic via
-// math/big. This makes the predicates exact for all float64 inputs, which
-// the conflict-graph Delaunay algorithm relies on for termination.
+// math/big. This makes the predicates exact for all *finite* float64
+// inputs, which the conflict-graph Delaunay algorithm relies on for
+// termination. NaN and the infinities have no rational value — the exact
+// fallback panics on them — so callers must reject such coordinates first
+// (package delaunay does, at every entry point).
 package geom
 
 import "math/big"

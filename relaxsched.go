@@ -417,7 +417,8 @@ type Triangle = delaunay.Triangle
 
 // Triangulate computes the Delaunay triangulation of points (incremental
 // Bowyer-Watson with exact predicates). Pass a non-nil order to control
-// the insertion sequence.
+// the insertion sequence. Duplicate points and NaN or infinite coordinates
+// are errors.
 func Triangulate(points []Point, order []int) ([]Triangle, error) {
 	return delaunay.Triangulate(points, order)
 }
@@ -436,18 +437,22 @@ type ParallelDelaunayOptions = delaunay.ParallelOptions
 
 // ParallelDelaunayResult is the wasted-work accounting of a parallel
 // triangulation: Pops, Inserted, Blocked (cavity claims lost to racing
-// insertions and re-inserted — this workload's extra steps) and Tris.
+// insertions and re-inserted — this workload's extra steps) and Tris, plus
+// what locating cost: DescentSteps (history stars scanned) and SeedFallbacks
+// (first locates that had to start at the root of the history).
 type ParallelDelaunayResult = delaunay.ParallelResult
 
 // ParallelTriangulate computes the Delaunay triangulation with worker
 // goroutines over a concurrent relaxed queue — the engine workload whose
 // dependency DAG is discovered *during* execution: an insertion locates
-// its conflict triangle through the history of destroyed triangles, claims
+// its conflict triangle through the history of destroyed triangles
+// (entering it at an earlier neighbour's star, not at the root), claims
 // the Bowyer-Watson cavity via per-triangle atomic claim states, and is
 // re-inserted when a racing insertion owns part of it. Insertions are
 // prioritized by permutation index (order as in Triangulate; nil = 0..n-1).
 // For points in general position the mesh equals Triangulate's for any
-// schedule — compare with MeshesEqual, as triangle order differs.
+// schedule — compare with MeshesEqual, as triangle order differs. Input is
+// validated as in Triangulate, before any worker starts.
 func ParallelTriangulate(points []Point, order []int, opts ParallelDelaunayOptions) ([]Triangle, ParallelDelaunayResult, error) {
 	return delaunay.ParallelTriangulate(points, order, opts)
 }
