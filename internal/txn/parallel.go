@@ -2,7 +2,6 @@ package txn
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"relaxsched/internal/engine"
@@ -18,11 +17,14 @@ import (
 //
 // The concurrency protocol, in one place:
 //
-//  1. Read phase: observe (value, version word) per operation. Reads and
-//     merged-mode writes record the word; writes to a split record of the
-//     matching kind become deferred deposits; anything else (locked
-//     record, split record of another kind, reconcile in flight) aborts
-//     the attempt.
+//  1. Read phase: observe (value, version word) per operation. A word
+//     found locked is re-read up to lockedWait times first: the attempt
+//     holds nothing yet, so the wait cannot deadlock, and the holder is
+//     straight-line code away from releasing. Reads and merged-mode
+//     writes record the word; writes to a split record of the matching
+//     kind become deferred deposits; anything else (a record still locked
+//     after the wait, split record of another kind, reconcile in flight)
+//     aborts the attempt.
 //  2. Lock the merged-mode write set in key order. The lock CAS is
 //     anchored to the observed word, so locking *is* write validation.
 //  3. Claim the commit ticket. Because every lock is held across the
@@ -35,8 +37,8 @@ import (
 //     the latches. Deposits land before any install so a latch failure
 //     still aborts cleanly.
 //  6. Install merged writes and release locks with a version bump; log
-//     the commit (ticket, label, observed read values) to the worker's
-//     commit log.
+//     the commit to the worker's commit log as the words ticket, label,
+//     then the observed value of each OpRead in operation order.
 //
 // Hot records are promoted to split mode by the contention integrator
 // (record.heat) and demoted by the phase fence (record.tryReconcile),
@@ -58,19 +60,45 @@ type observation struct {
 	cls  int8
 }
 
-// commitRec is one committed transaction in a worker's commit log: enough
-// to replay the run in ticket order and re-check every read.
-type commitRec struct {
-	ticket int64
-	id     int64
-	reads  [MaxOps]int64
+// lockedWait is how many times the read phase re-reads a locked word
+// before it aborts the attempt — about a microsecond of loads, which is
+// about what the abort itself costs (flush the batch, re-insert, re-pop,
+// re-run), while a lock is held for a few hundred nanoseconds of
+// straight-line code. It is the smallest value on the plateau of the sweep
+// in README "Measuring" (aborts per commit fall threefold up to here and
+// not at all beyond), and small on purpose: the bound is what an attempt
+// pays per operation when the holder was descheduled, and what keeps Stop
+// and the deadline prompt.
+const lockedWait = 2048
+
+// logRecHeader is the fixed head of a commit record: ticket, label.
+const logRecHeader = 2
+
+// logChunkWords is the capacity of one chunk of a commit log.
+const logChunkWords = 8192
+
+// workerLog is one worker's commit log: a list of fixed-capacity chunks of
+// words, so a logged record is never copied again. A record is ticket,
+// label, then one word per OpRead of the transaction in operation order —
+// enough to replay the run in ticket order and re-check every read — and
+// never straddles a chunk. Padded so append bookkeeping never shares a
+// cache line across workers.
+type workerLog struct {
+	chunks     [][]int64
+	recs       int64
+	chunkWords int
+	_          [24]byte
 }
 
-// workerLog is a per-worker commit log, padded so append bookkeeping never
-// shares a cache line across workers.
-type workerLog struct {
-	recs []commitRec
-	_    [104]byte
+// open returns the chunk the next record goes to: the last one while it
+// has room for words more, else a fresh one.
+func (l *workerLog) open(words int) *[]int64 {
+	last := len(l.chunks) - 1
+	if last < 0 || cap(l.chunks[last])-len(l.chunks[last]) < words {
+		l.chunks = append(l.chunks, make([]int64, 0, l.chunkWords))
+		last++
+	}
+	return &l.chunks[last]
 }
 
 // padCounter is a cache-line-isolated atomic counter.
@@ -85,9 +113,12 @@ type padCounter struct {
 // engine.Run/engine.Start (the conformance and chaos suites do) and call
 // Certify afterwards.
 type Workload struct {
-	gen     *Gen
-	st      *store
-	txns    []txnDesc
+	gen *Gen
+	st  *store
+	// ops is every transaction's operations in one arena: transaction id
+	// owns ops[id*stride : (id+1)*stride], stride = OpsPerTxn.
+	ops     []Op
+	stride  int
 	workers int
 	seeded  bool
 
@@ -97,12 +128,6 @@ type Workload struct {
 	promotions padCounter
 	reconciles padCounter
 	deposits   padCounter
-}
-
-// txnDesc is one pregenerated transaction.
-type txnDesc struct {
-	ops [MaxOps]Op
-	n   int32
 }
 
 // NewWorkload pregenerates the spec's transaction stream and builds the
@@ -121,17 +146,39 @@ func NewWorkload(spec WorkloadSpec, workers int, seeded bool) (*Workload, error)
 	w := &Workload{
 		gen:     g,
 		st:      newStore(spec.Keys, workers),
-		txns:    make([]txnDesc, spec.Txns),
+		ops:     make([]Op, spec.Txns*spec.OpsPerTxn),
+		stride:  spec.OpsPerTxn,
 		workers: workers,
 		seeded:  seeded,
 		logs:    make([]workerLog, workers),
 	}
-	for id := range w.txns {
-		d := &w.txns[id]
-		ops := g.Ops(int64(id), d.ops[:0])
-		d.n = int32(len(ops))
+	for i := range w.logs {
+		w.logs[i].chunkWords = logChunkWords
+	}
+	for id := 0; id < spec.Txns; id++ {
+		lo, hi := id*w.stride, (id+1)*w.stride
+		// Capacity is exactly the slot, so Ops fills it in place.
+		g.Ops(int64(id), w.ops[lo:lo:hi])
 	}
 	return w, nil
+}
+
+// opsOf returns transaction id's operations.
+func (w *Workload) opsOf(id int64) []Op {
+	lo := int(id) * w.stride
+	return w.ops[lo : lo+w.stride]
+}
+
+// reads counts transaction id's OpReads: the words its commit record
+// carries after the header.
+func (w *Workload) reads(id int64) int {
+	n := 0
+	for _, op := range w.opsOf(id) {
+		if op.Kind == OpRead {
+			n++
+		}
+	}
+	return n
 }
 
 // Frontier seeds the closed world: every transaction at priority = label.
@@ -139,7 +186,7 @@ func (w *Workload) Frontier(emit func(value, priority int64)) {
 	if !w.seeded {
 		return
 	}
-	for id := range w.txns {
+	for id := 0; id < w.gen.spec.Txns; id++ {
 		emit(int64(id), int64(id))
 	}
 }
@@ -148,15 +195,18 @@ func (w *Workload) Frontier(emit func(value, priority int64)) {
 // committed; Blocked means the attempt aborted (conflict, split-epoch
 // mismatch or phase fence) and the engine should retry it.
 func (w *Workload) TryExecute(ctx *engine.Ctx, value, _ int64) engine.Status {
-	d := &w.txns[value]
-	n := int(d.n)
+	ops := w.opsOf(value)
+	n := len(ops)
 	var ob [MaxOps]observation
 
 	// 1: observe.
 	for i := 0; i < n; i++ {
-		op := d.ops[i]
+		op := ops[i]
 		r := w.st.rec(op.Key)
 		word := r.word.Load()
+		for spin := 0; word&1 != 0 && spin < lockedWait; spin++ {
+			word = r.word.Load()
+		}
 		if word&1 != 0 {
 			if op.Kind != OpRead {
 				return w.writeConflict(r, op.Kind)
@@ -213,16 +263,16 @@ func (w *Workload) TryExecute(ctx *engine.Ctx, value, _ int64) engine.Status {
 		}
 	}
 	for a := 1; a < nw; a++ {
-		for b := a; b > 0 && d.ops[order[b]].Key < d.ops[order[b-1]].Key; b-- {
+		for b := a; b > 0 && ops[order[b]].Key < ops[order[b-1]].Key; b-- {
 			order[b], order[b-1] = order[b-1], order[b]
 		}
 	}
 	for li := 0; li < nw; li++ {
 		i := order[li]
-		op := d.ops[i]
+		op := ops[i]
 		r := w.st.rec(op.Key)
 		if !r.lock(ob[i].word) {
-			w.unlockPrefix(d, &ob, order[:li])
+			w.unlockPrefix(ops, &ob, order[:li])
 			return w.writeConflict(r, op.Kind)
 		}
 	}
@@ -235,16 +285,16 @@ func (w *Workload) TryExecute(ctx *engine.Ctx, value, _ int64) engine.Status {
 	for i := 0; i < n; i++ {
 		switch ob[i].cls {
 		case clsRead:
-			r := w.st.rec(d.ops[i].Key)
+			r := w.st.rec(ops[i].Key)
 			if r.word.Load() != ob[i].word {
-				w.unlockPrefix(d, &ob, order[:nw])
+				w.unlockPrefix(ops, &ob, order[:nw])
 				r.conflictHeat()
 				return engine.Blocked
 			}
 		case clsSplit:
-			r := w.st.rec(d.ops[i].Key)
+			r := w.st.rec(ops[i].Key)
 			if r.word.Load() != ob[i].word || r.mode.Load() != modeSplit {
-				w.unlockPrefix(d, &ob, order[:nw])
+				w.unlockPrefix(ops, &ob, order[:nw])
 				r.conflictHeat()
 				return engine.Blocked
 			}
@@ -261,14 +311,14 @@ func (w *Workload) TryExecute(ctx *engine.Ctx, value, _ int64) engine.Status {
 		if ob[i].cls != clsSplit {
 			continue
 		}
-		r := w.st.rec(d.ops[i].Key)
+		r := w.st.rec(ops[i].Key)
 		r.writers.Add(1)
 		if r.word.Load() != ob[i].word || r.mode.Load() != modeSplit {
 			r.writers.Add(-1)
 			for j := 0; j < nl; j++ {
-				w.st.rec(d.ops[latched[j]].Key).writers.Add(-1)
+				w.st.rec(ops[latched[j]].Key).writers.Add(-1)
 			}
-			w.unlockPrefix(d, &ob, order[:nw])
+			w.unlockPrefix(ops, &ob, order[:nw])
 			return w.blockedSplit(r)
 		}
 		latched[nl] = int8(i)
@@ -276,7 +326,7 @@ func (w *Workload) TryExecute(ctx *engine.Ctx, value, _ int64) engine.Status {
 	}
 	for j := 0; j < nl; j++ {
 		i := latched[j]
-		op := d.ops[i]
+		op := ops[i]
 		r := w.st.rec(op.Key)
 		cell := &(*r.cells.Load())[ctx.Worker]
 		switch op.Kind {
@@ -296,30 +346,31 @@ func (w *Workload) TryExecute(ctx *engine.Ctx, value, _ int64) engine.Status {
 	// 6: install merged writes, release locks, log the commit.
 	for li := 0; li < nw; li++ {
 		i := order[li]
-		op := d.ops[i]
+		op := ops[i]
 		r := w.st.rec(op.Key)
 		r.val.Store(op.apply(r.val.Load()))
 		r.unlockBump(ob[i].word)
 	}
 	for i := 0; i < n; i++ {
-		w.st.rec(d.ops[i].Key).commitDecay()
+		w.st.rec(ops[i].Key).commitDecay()
 	}
 	lg := &w.logs[ctx.Worker]
-	cr := commitRec{ticket: ticket, id: value}
+	rec := lg.open(logRecHeader + n)
+	*rec = append(*rec, ticket, value)
 	for i := 0; i < n; i++ {
 		if ob[i].cls == clsRead {
-			cr.reads[i] = ob[i].val
+			*rec = append(*rec, ob[i].val)
 		}
 	}
-	lg.recs = append(lg.recs, cr)
+	lg.recs++
 	return engine.Executed
 }
 
 // unlockPrefix releases already-claimed write locks on the abort path,
 // restoring the pre-lock words (no version bump: nothing was installed).
-func (w *Workload) unlockPrefix(d *txnDesc, ob *[MaxOps]observation, prefix []int8) {
+func (w *Workload) unlockPrefix(ops []Op, ob *[MaxOps]observation, prefix []int8) {
 	for _, i := range prefix {
-		w.st.rec(d.ops[i].Key).unlockRestore(ob[i].word)
+		w.st.rec(ops[i].Key).unlockRestore(ob[i].word)
 	}
 }
 
@@ -360,33 +411,74 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// Certify replays the merged commit log in ticket order against a fresh
-// store and fails on the first serializability violation: a logged read
-// that disagrees with the replay, a transaction committed twice, or a
-// final store state that diverges from the replayed one. Call it only
-// after the run has quiesced; it fences any still-split records first.
+// Certify replays the commit log in ticket order against a fresh store and
+// fails on the first thing that is not a serial execution of the stream: a
+// malformed log (a record naming a transaction or a ticket that does not
+// exist, two records with one ticket, a record count that differs from the
+// workers' own), a logged read that disagrees with the replay, a
+// transaction committed twice, or a final store state that diverges from
+// the replayed one. Call it only after the run has quiesced; it fences any
+// still-split records first.
 func (w *Workload) Certify() error {
 	w.reconciles.n.Add(w.st.reconcileAll())
-	var all []commitRec
+
+	// Tickets are unique and below the ticket counter, so one pass places
+	// every record at its ticket and the run is ordered without a sort:
+	// at[t] is the chunk and the offset + 1 of ticket t's record, 0 where
+	// the attempt that claimed t failed validation afterwards.
+	var chunks [][]int64
 	for i := range w.logs {
-		all = append(all, w.logs[i].recs...)
+		chunks = append(chunks, w.logs[i].chunks...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ticket < all[j].ticket })
-	seen := make([]bool, len(w.txns))
-	replay := make([]int64, w.gen.spec.Keys)
-	for _, cr := range all {
-		if seen[cr.id] {
-			return fmt.Errorf("txn: transaction %d committed twice", cr.id)
+	txns, tickets := int64(w.gen.spec.Txns), w.ticket.n.Load()
+	at := make([]uint64, tickets)
+	var recs int64
+	for ci, c := range chunks {
+		for off := 0; off < len(c); {
+			if len(c)-off < logRecHeader {
+				return fmt.Errorf("txn: commit log ends inside a record header")
+			}
+			ticket, id := c[off], c[off+1]
+			if id < 0 || id >= txns {
+				return fmt.Errorf("txn: commit log names transaction %d of a stream of %d", id, txns)
+			}
+			if ticket < 0 || ticket >= tickets {
+				return fmt.Errorf("txn: commit log names ticket %d, only %d were claimed", ticket, tickets)
+			}
+			if at[ticket] != 0 {
+				return fmt.Errorf("txn: ticket %d logged twice (second time by transaction %d)", ticket, id)
+			}
+			at[ticket] = uint64(ci)<<32 | uint64(off+1)
+			off += logRecHeader + w.reads(id)
+			if off > len(c) {
+				return fmt.Errorf("txn: commit log ends inside the reads of transaction %d", id)
+			}
+			recs++
 		}
-		seen[cr.id] = true
-		d := &w.txns[cr.id]
-		for i := 0; i < int(d.n); i++ {
-			op := d.ops[i]
+	}
+	if recs != w.Commits() {
+		return fmt.Errorf("txn: commit log holds %d records, workers counted %d commits", recs, w.Commits())
+	}
+
+	seen := make([]bool, txns)
+	replay := make([]int64, w.gen.spec.Keys)
+	for ticket, loc := range at {
+		if loc == 0 {
+			continue
+		}
+		rec := chunks[loc>>32][uint32(loc)-1:]
+		id, reads := rec[1], rec[logRecHeader:]
+		if seen[id] {
+			return fmt.Errorf("txn: transaction %d committed twice", id)
+		}
+		seen[id] = true
+		for _, op := range w.opsOf(id) {
 			if op.Kind == OpRead {
-				if replay[op.Key] != cr.reads[i] {
+				if replay[op.Key] != reads[0] {
 					return fmt.Errorf("txn: serializability violation: txn %d (ticket %d) observed key %d = %d, ticket-order replay gives %d",
-						cr.id, cr.ticket, op.Key, cr.reads[i], replay[op.Key])
+						id, ticket, op.Key, reads[0], replay[op.Key])
 				}
+				reads = reads[1:]
 				continue
 			}
 			replay[op.Key] = op.apply(replay[op.Key])
@@ -402,11 +494,11 @@ func (w *Workload) Certify() error {
 	return nil
 }
 
-// Commits reports the committed-transaction count (log length).
+// Commits reports the committed-transaction count (records logged).
 func (w *Workload) Commits() int64 {
 	var n int64
 	for i := range w.logs {
-		n += int64(len(w.logs[i].recs))
+		n += w.logs[i].recs
 	}
 	return n
 }

@@ -3,15 +3,15 @@ package txn
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"relaxsched/internal/core"
 	"relaxsched/internal/rng"
 )
 
 // MaxOps is the per-transaction operation cap. Keeping it small lets the
-// executor carry read/write sets and per-commit read logs in fixed inline
-// arrays (no per-attempt allocation on the OCC hot path).
+// executor carry an attempt's observations and lock order in fixed inline
+// arrays (no per-attempt allocation on the OCC hot path) and bounds a
+// commit-log record at MaxOps + 2 words.
 const MaxOps = 16
 
 // WorkloadSpec describes a transactional workload: the key space, the
@@ -104,12 +104,17 @@ func (op Op) apply(v int64) int64 {
 }
 
 // Gen generates the deterministic transaction stream of a WorkloadSpec.
-// Key draws use a cumulative-mass table over the Zipf distribution with a
-// binary search per draw; each transaction derives its own rng stream from
-// the spec seed and its label, so generation is random-access.
+// Key draws invert a cumulative-mass table over the Zipf distribution: a
+// guide table narrows each draw to a few candidates and a binary search
+// picks among them. Each transaction derives its own rng stream from the
+// spec seed and its label, so generation is random-access.
 type Gen struct {
 	spec WorkloadSpec
 	cum  []float64 // cum[i] = P(key <= i), cum[Keys-1] = 1
+	// guide[j] is the first i with cum[i] >= j/G, for j = 0..G, where
+	// G = len(guide)-1 is a power of two — so u*G and j/G are exact and
+	// the key of a draw u lies in [guide[⌊u·G⌋], guide[⌊u·G⌋+1]].
+	guide []int32
 }
 
 // NewGen validates the spec and builds the key-distribution table.
@@ -127,7 +132,19 @@ func NewGen(spec WorkloadSpec) (*Gen, error) {
 		cum[i] /= total
 	}
 	cum[len(cum)-1] = 1
-	return &Gen{spec: spec, cum: cum}, nil
+	cells := 1
+	for cells < spec.Keys {
+		cells <<= 1
+	}
+	guide := make([]int32, cells+1)
+	i := int32(0)
+	for j := range guide {
+		for cum[i] < float64(j)/float64(cells) {
+			i++
+		}
+		guide[j] = i
+	}
+	return &Gen{spec: spec, cum: cum, guide: guide}, nil
 }
 
 func zipfMass(i int, s float64) float64 {
@@ -137,23 +154,34 @@ func zipfMass(i int, s float64) float64 {
 // Spec returns the generating spec.
 func (g *Gen) Spec() WorkloadSpec { return g.spec }
 
-// key draws one Zipf-distributed key.
-func (g *Gen) key(r *rng.Xoshiro) int32 {
-	u := r.Float64()
-	// First index with cum[i] >= u.
-	return int32(sort.SearchFloat64s(g.cum, u))
+// keyOf returns the first index with cum[i] >= u, for u in [0, 1) — the
+// key sort.SearchFloat64s(g.cum, u) returns, found between two guide
+// entries instead of over the whole table.
+func (g *Gen) keyOf(u float64) int32 {
+	j := int(u * float64(len(g.guide)-1))
+	lo, hi := g.guide[j], g.guide[j+1]
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if g.cum[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
-// Ops writes transaction id's operations into buf (len >= OpsPerTxn) and
-// returns the filled prefix. Keys within a transaction are distinct, so a
-// transaction has at most one operation per record.
+// Ops writes transaction id's operations into buf (cap >= OpsPerTxn, or
+// they land in a fresh array) and returns them: always exactly OpsPerTxn.
+// Keys within a transaction are distinct, so a transaction has at most one
+// operation per record.
 func (g *Gen) Ops(id int64, buf []Op) []Op {
 	r := rng.New(g.spec.Seed ^ rng.Mix64(uint64(id)+0x74786e))
 	n := g.spec.OpsPerTxn
 	buf = buf[:0]
 draw:
 	for len(buf) < n {
-		k := g.key(r)
+		k := g.keyOf(r.Float64())
 		for _, prev := range buf {
 			if prev.Key == k {
 				// Redraw on collision; with heavy skew the hot keys

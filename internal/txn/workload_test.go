@@ -1,8 +1,14 @@
 package txn
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"sort"
 	"testing"
+
+	"relaxsched/internal/rng"
 )
 
 // TestZipfChiSquared draws a large sample from the key generator at each
@@ -157,6 +163,79 @@ func TestConflictDAGEdges(t *testing.T) {
 	for j := 1; j < 50; j++ {
 		if len(dag.Preds[j]) != 1 || int(dag.Preds[j][0]) != j-1 {
 			t.Fatalf("txn %d preds = %v, want [%d]", j, dag.Preds[j], j-1)
+		}
+	}
+}
+
+// TestGuideTableMatchesBinarySearch pins the guide table to the search it
+// replaced: keyOf must return the key sort.SearchFloat64s returns over the
+// whole cumulative table for every draw — random ones, and every table
+// entry with the floats on either side of it, where an off-by-one in the
+// guide or an inexact u·G would show first.
+func TestGuideTableMatchesBinarySearch(t *testing.T) {
+	for _, skew := range []float64{0, 0.5, 0.99, 1.5, 3} {
+		// 5000 keys is not a power of two, so the guide has more cells
+		// than keys; 4096 is one, so it has exactly as many.
+		for _, keys := range []int{1, 5000, 4096} {
+			g, err := NewGen(WorkloadSpec{Txns: 1, Keys: keys, Skew: skew, OpsPerTxn: 1, ReadFrac: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(u float64) {
+				if u < 0 || u >= 1 {
+					return
+				}
+				if got, want := g.keyOf(u), int32(sort.SearchFloat64s(g.cum, u)); got != want {
+					t.Fatalf("skew %v, %d keys: keyOf(%v) = %d, binary search gives %d", skew, keys, u, got, want)
+				}
+			}
+			r := rng.New(uint64(keys) ^ math.Float64bits(skew))
+			for i := 0; i < 500000; i++ {
+				check(r.Float64())
+			}
+			check(0)
+			for _, c := range g.cum {
+				check(math.Nextafter(c, 0))
+				check(c)
+				check(math.Nextafter(c, 2))
+			}
+		}
+	}
+}
+
+// TestGenStreamGolden pins the transaction stream itself: the hashes were
+// computed before the guide table and the flat descriptor arena existed, so
+// a change to Gen that alters what txn-zipf executes — by one key of one
+// transaction — fails here. The first spec is the benchmark's shape; the
+// second draws 16 distinct keys out of 64 at a heavy skew, where most draws
+// collide and the linear-probe fallback runs.
+func TestGenStreamGolden(t *testing.T) {
+	for _, tc := range []struct {
+		spec WorkloadSpec
+		want string
+	}{
+		{WorkloadSpec{Txns: 200000, Keys: 150000, Skew: 0.99, OpsPerTxn: 4, ReadFrac: 0.5, Seed: 1},
+			"e5779b536b452664055e372ae21ed6efe20e36360f4906d4be54724bc5b034c8"},
+		{WorkloadSpec{Txns: 20000, Keys: 64, Skew: 1.5, OpsPerTxn: 16, ReadFrac: 0.3, Seed: 20190622},
+			"20639bbabc5914f2e1c8c86c982ab362cbe1bed39bf189e02c9dc23b6c26a0da"},
+	} {
+		g, err := NewGen(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf [MaxOps]Op
+		var w [16]byte
+		for id := 0; id < tc.spec.Txns; id++ {
+			for _, op := range g.Ops(int64(id), buf[:]) {
+				binary.LittleEndian.PutUint32(w[0:], uint32(op.Key))
+				w[4] = byte(op.Kind)
+				binary.LittleEndian.PutUint64(w[8:], uint64(op.Arg))
+				h.Write(w[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%+v: stream hash %s, want %s", tc.spec, got, tc.want)
 		}
 	}
 }
