@@ -9,7 +9,9 @@
 // Four backends ship today:
 //
 //   - MultiQueueBackend: the lock-per-queue MultiQueue — threads x multiplier
-//     4-ary heaps, uniform 2-choice pops over cached atomic tops, TryLock with
+//     queues, each a 4-ary heap beside a sorted run that takes the pairs
+//     arriving in priority order (an append and an index bump instead of two
+//     sifts), uniform 2-choice pops over cached atomic tops, TryLock with
 //     bounded rerandomization on contention. Per-worker handles are sticky:
 //     a handle sends a run of stickiness (16) consecutive single-element
 //     operations to the queue its last two-choice Pop or random Push locked,

@@ -63,6 +63,7 @@ func Run(t *testing.T, newQueue Factory) {
 	t.Run("ReservedPriorityPanics", func(t *testing.T) { testReservedPriorityPanics(t, newQueue) })
 	t.Run("ConcurrentValuesPreserved", func(t *testing.T) { testConcurrentValuesPreserved(t, newQueue) })
 	t.Run("RacingPushersTermination", func(t *testing.T) { testRacingPushersTermination(t, newQueue) })
+	t.Run("OrderedStreams", func(t *testing.T) { testOrderedStreams(t, newQueue) })
 	t.Run("BatchSequentialDrain", func(t *testing.T) { testBatchSequentialDrain(t, newQueue) })
 	t.Run("BatchExactWhenUnrelaxed", func(t *testing.T) { testBatchExactWhenUnrelaxed(t, newQueue) })
 	t.Run("BatchReservedPriorityPanics", func(t *testing.T) { testBatchReservedPriorityPanics(t, newQueue) })
@@ -1005,6 +1006,81 @@ func testAllocSteadyState(t *testing.T, newQueue Factory) {
 		t.Logf("steady-state allocations: %.3f allocs/op (gated <= 0.25)", perOp)
 	} else {
 		t.Logf("steady-state allocations: %.3f allocs/op (baseline, not gated)", perOp)
+	}
+}
+
+// testOrderedStreams is the traffic of a stream or a frontier laid out in
+// label order: several handles each push nondecreasing priorities — with
+// ties, and every other pusher in sorted batches — while poppers drain
+// through their own handles under the in-flight-counter protocol. The
+// streams cover the same priority range, so each queue takes some pairs in
+// order and some out of it. Every value must come out exactly once.
+func testOrderedStreams(t *testing.T, newQueue Factory) {
+	const (
+		pushers = 3
+		poppers = 3
+		perP    = 4000
+		total   = pushers * perP
+		batch   = 8
+	)
+	q := cq.AsBatch(newQueue(t, poppers, 2))
+	seen := make([]atomic.Bool, total)
+	var pending atomic.Int64 // un-popped elements, counted up-front
+	pending.Store(total)
+	var wg sync.WaitGroup
+	for g := 0; g < pushers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h := cq.HandleFor(q)
+			defer h.Close()
+			r := rng.New(uint64(g) + 1)
+			buf := make([]cq.Pair, 0, batch)
+			for i := 0; i < perP; i++ {
+				v, p := int64(g*perP+i), int64(i/3)
+				if g%2 == 0 {
+					h.Push(r, v, p)
+					continue
+				}
+				if buf = append(buf, cq.Pair{Value: v, Priority: p}); len(buf) == batch || i == perP-1 {
+					h.PushBatch(r, buf)
+					buf = buf[:0]
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < poppers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h := cq.HandleFor(q)
+			defer h.Close()
+			r := rng.New(uint64(1000 + g))
+			dst := make([]cq.Pair, batch)
+			for pending.Load() > 0 {
+				n := 0
+				if g == 0 {
+					n = h.PopBatch(r, dst)
+				} else if v, p, ok := h.Pop(r); ok {
+					dst[0], n = cq.Pair{Value: v, Priority: p}, 1
+				}
+				for _, p := range dst[:n] {
+					if seen[p.Value].Swap(true) {
+						t.Errorf("value %d popped twice", p.Value)
+					}
+				}
+				pending.Add(-int64(n))
+			}
+		}(g)
+	}
+	waitOrFatal(t, &wg, "ordered streams")
+	for v := range seen {
+		if !seen[v].Load() {
+			t.Fatalf("value %d lost", v)
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after drain", q.Len())
 	}
 }
 

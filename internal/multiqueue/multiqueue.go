@@ -6,15 +6,11 @@
 // k = O(q log q) with high probability, which is the regime the paper's
 // experiments run in.
 //
-// Two variants are provided:
-//
-//   - MultiQueue: the sequential-model variant implementing sched.Scheduler
-//     (+ DecreaseKey via consistent hashing of task ids to queues), used by
-//     the incremental-algorithm framework and the lower-bound experiment of
-//     Section 5;
-//   - Concurrent: a lock-per-queue concurrent variant storing (value,
-//     priority) pairs with duplicates, used by the parallel SSSP of
-//     Section 7.
+// MultiQueue is the sequential-model variant: it implements sched.Scheduler
+// (+ DecreaseKey via consistent hashing of task ids to queues) and is used
+// by the incremental-algorithm framework and the lower-bound experiment of
+// Section 5. The concurrent MultiQueue that the engine and the parallel
+// workloads of Section 7 run on is cq.MultiQueue in internal/cq.
 package multiqueue
 
 import (
