@@ -22,6 +22,19 @@
 // is pending anywhere. The counter sum-scan runs only on apparent-empty,
 // keeping the hot path free of shared-counter traffic.
 //
+// Completions are published in batches. A worker counts its pops, their
+// outcomes and its completions in a plain tally only it touches, and
+// publishes every 64 pops: one atomic store per stat into its workerState,
+// one CompleteN into the in-flight counter. Productions stay immediate,
+// because each must precede its push. That is safe because a late
+// completion can only make the scan more conservative: published completed
+// <= true completed <= produced, so a quiescent scan is still true
+// quiescence. It stays live because a worker also publishes before every
+// Quiescent call it makes (the empty-pop path and the stop drain), and its
+// loop only parks or exits from one of those, so no worker parks or exits
+// holding completions the scan cannot see, and the worker that drains last
+// sees the balance.
+//
 // Closed-world runs (Run) are the default: every task is born from the
 // frontier or from Ctx.Spawn inside a worker. Start opens the system to
 // external producers — Producer handles created with Execution.NewProducer
@@ -313,16 +326,57 @@ func (b *pushBuf) flush() {
 	}
 }
 
+// publishEvery is how many pops a worker's tally runs ahead of what it has
+// published: every publishEvery-th pop publishes (a power of two, so the
+// test is a mask). Publishing also happens before every Quiescent call a
+// worker makes, which both loop exits follow, so the batching never holds
+// up termination.
+const publishEvery = 64
+
+// tally is one worker's private bookkeeping: plain words only its own
+// goroutine touches, published by Ctx.publish. completions counts tasks
+// completed since the last publication, not yet added to the inflight
+// counter; the rest are running totals.
+type tally struct {
+	popped, executed, discarded, reinserted, failed, emptyPops int64
+	completions                                                int64
+}
+
 // Ctx is the worker-local spawn context handed to TryExecute. Spawned pairs
 // are recorded in the termination counter before they become visible to
 // other workers, so the workload never touches the counter protocol.
+//
+// Ctx also carries the worker's tally. It is written on every pop, so it is
+// padded to whole cache lines: two workers' contexts never share one.
 type Ctx struct {
 	// Worker is this worker's index in [0, Threads); workloads may use it
 	// to shard their own per-worker state.
 	Worker int
 
 	counters *inflight.Counter
+	ws       *workerState
 	pushBuf
+	tally
+	// publishMask selects the pops that publish: publishEvery-1, or 0 (every
+	// pop) while a stall watchdog is armed, whose progress tally must not
+	// lag a completion.
+	publishMask int64
+	_           [40]byte
+}
+
+// publish stores the worker's running totals into its shared workerState
+// (one atomic store each, single writer) and hands its pending completions
+// to the inflight counter in one CompleteN.
+func (c *Ctx) publish() {
+	ws := c.ws
+	ws.popped.Store(c.popped)
+	ws.executed.Store(c.executed)
+	ws.discarded.Store(c.discarded)
+	ws.reinserted.Store(c.reinserted)
+	ws.failed.Store(c.failed)
+	ws.emptyPops.Store(c.emptyPops)
+	c.counters.CompleteN(c.Worker, c.completions)
+	c.completions = 0
 }
 
 // Spawn enqueues a new task. In batched mode the pair lands in the worker's
@@ -420,22 +474,25 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 		donec:      make(chan struct{}),
 	}
 	e.active.Store(int32(opts.Threads))
+	publishMask := int64(publishEvery - 1)
+	if opts.StallTimeout > 0 {
+		publishMask = 0
+	}
 	for t := 0; t < pool; t++ {
 		e.wg.Add(1)
 		go func(w int, r *rng.Xoshiro) {
 			defer e.wg.Done()
 			h := cq.HandleFor(mq)
 			defer h.Close()
-			ctx := &Ctx{Worker: w, counters: counters,
+			ctx := &Ctx{Worker: w, counters: counters, ws: &e.workers[w], publishMask: publishMask,
 				pushBuf: pushBuf{r: r, mq: h, lot: e.lot, batch: opts.BatchSize}}
-			ws := &e.workers[w]
 			if opts.BatchSize > 1 {
 				ctx.out = make([]cq.Pair, 0, opts.BatchSize)
-				e.workerBatched(wl, ctx, ws)
+				e.workerBatched(wl, ctx)
 			} else {
-				e.worker(wl, ctx, ws)
+				e.worker(wl, ctx)
 			}
-			ws.phase.Store(int32(PhaseExited))
+			ctx.ws.phase.Store(int32(PhaseExited))
 		}(t, seedRng.Split())
 	}
 	// The donec closer is the fan-in the watchdog, deadline timer and
@@ -459,7 +516,8 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 }
 
 // controller is the elastic-pool policy loop: it samples live (queued or
-// executing) task counts and resizes the active worker set between
+// executing, plus up to 63 per busy worker completed but not yet
+// published) task counts and resizes the active worker set between
 // minWorkers and the pool size. Growth is aggressive — a sustained backlog
 // beyond ~2 tasks per active worker doubles the set and wakes the reserve,
 // so a burst ramps to full width within a couple of ticks — while shrink
@@ -514,7 +572,7 @@ func (e *Execution) controller() {
 // the idle count resets to 0: a woken worker always re-polls the queue at
 // full speed at least once before it can park again, so a wake handed to
 // it by a producer is never re-parked away without a pop attempt.
-func (e *Execution) idle(ctx *Ctx, ws *workerState, idle int) int {
+func (e *Execution) idle(ctx *Ctx, idle int) int {
 	retired := e.elastic && ctx.Worker >= int(e.active.Load())
 	if !retired && idle < idleYields+parkAfterSleeps {
 		idleWait(idle)
@@ -525,11 +583,11 @@ func (e *Execution) idle(ctx *Ctx, ws *workerState, idle int) int {
 	if e.stopped.Load() || e.counters.Quiescent() || e.mq.Len() != 0 {
 		return idle + 1
 	}
-	ws.phase.Store(int32(PhaseParked))
+	ctx.ws.phase.Store(int32(PhaseParked))
 	e.lot.Park(w, tok, func() bool {
 		return e.stopped.Load() || e.mq.Len() != 0 || e.counters.Quiescent()
 	})
-	ws.phase.Store(int32(PhaseIdle))
+	ctx.ws.phase.Store(int32(PhaseIdle))
 	return 0
 }
 
@@ -539,12 +597,14 @@ func (e *Execution) idle(ctx *Ctx, ws *workerState, idle int) int {
 // queue-visible, so the partial run's accounting stays consistent — and
 // exits without popping again. The run is marked Interrupted unless the
 // counters already prove quiescence (a Stop that landed after the work was
-// done interrupts nothing).
+// done interrupts nothing), which is why the worker publishes its tally
+// first.
 func (e *Execution) stopDrain(ctx *Ctx) bool {
 	if !e.stopped.Load() {
 		return false
 	}
 	ctx.flush()
+	ctx.publish()
 	if !e.counters.Quiescent() {
 		e.interrupted.Store(true)
 	}
@@ -555,8 +615,8 @@ func (e *Execution) stopDrain(ctx *Ctx) bool {
 // This is the concurrent analogue of the paper's Algorithm 2 — the regime
 // its Section 4 transactional model abstracts — with re-insertion playing
 // the role of the sequential model's "task stays in the scheduler".
-func (e *Execution) worker(wl Workload, ctx *Ctx, ws *workerState) {
-	mq, r, counters := ctx.mq, ctx.r, ctx.counters
+func (e *Execution) worker(wl Workload, ctx *Ctx) {
+	mq, r, counters, ws := ctx.mq, ctx.r, ctx.counters, ctx.ws
 	var blocked [1]cq.Pair // the pair being re-inserted
 	idle := 0
 	for {
@@ -565,7 +625,8 @@ func (e *Execution) worker(wl Workload, ctx *Ctx, ws *workerState) {
 		}
 		value, priority, ok := mq.Pop(r)
 		if !ok {
-			ws.emptyPops.Add(1)
+			ctx.emptyPops++
+			ctx.publish()
 			if counters.Quiescent() {
 				// Broadcast before exiting: parked peers re-run this same
 				// check on wake, observe the sealed quiescence and exit too.
@@ -573,15 +634,15 @@ func (e *Execution) worker(wl Workload, ctx *Ctx, ws *workerState) {
 				break
 			}
 			ws.phase.Store(int32(PhaseIdle))
-			idle = e.idle(ctx, ws, idle)
+			idle = e.idle(ctx, idle)
 			continue
 		}
 		if idle > 0 {
 			ws.phase.Store(int32(PhaseRunning))
 		}
 		idle = 0
-		ws.popped.Add(1)
-		if e.attempt(wl, ctx, ws, value, priority) {
+		ctx.popped++
+		if e.attempt(wl, ctx, value, priority) {
 			// Re-insert the blocked pair and count the wasted pop. Each
 			// pair has exactly one live copy, carried by this worker
 			// between the pop and the re-push, then yield so this worker
@@ -595,6 +656,9 @@ func (e *Execution) worker(wl Workload, ctx *Ctx, ws *workerState) {
 			mq.PushBatch(r, blocked[:])
 			runtime.Gosched()
 		}
+		if ctx.popped&ctx.publishMask == 0 {
+			ctx.publish()
+		}
 	}
 }
 
@@ -606,8 +670,8 @@ func (e *Execution) worker(wl Workload, ctx *Ctx, ws *workerState) {
 // recorded as produced, never completed — can never deadlock the counter
 // protocol: Quiescent stays false until its worker flushes and the pair is
 // eventually processed.
-func (e *Execution) workerBatched(wl Workload, ctx *Ctx, ws *workerState) {
-	mq, r, counters := ctx.mq, ctx.r, ctx.counters
+func (e *Execution) workerBatched(wl Workload, ctx *Ctx) {
+	mq, r, counters, ws := ctx.mq, ctx.r, ctx.counters, ctx.ws
 	in := make([]cq.Pair, ctx.batch)
 	idle := 0
 	for {
@@ -616,11 +680,12 @@ func (e *Execution) workerBatched(wl Workload, ctx *Ctx, ws *workerState) {
 		}
 		k := mq.PopBatch(r, in)
 		if k == 0 {
-			ws.emptyPops.Add(1)
+			ctx.emptyPops++
 			if len(ctx.out) > 0 {
 				ctx.flush()
 				continue
 			}
+			ctx.publish()
 			if counters.Quiescent() {
 				// Broadcast before exiting: parked peers re-run this same
 				// check on wake, observe the sealed quiescence and exit too.
@@ -628,7 +693,7 @@ func (e *Execution) workerBatched(wl Workload, ctx *Ctx, ws *workerState) {
 				break
 			}
 			ws.phase.Store(int32(PhaseIdle))
-			idle = e.idle(ctx, ws, idle)
+			idle = e.idle(ctx, idle)
 			continue
 		}
 		if idle > 0 {
@@ -637,10 +702,13 @@ func (e *Execution) workerBatched(wl Workload, ctx *Ctx, ws *workerState) {
 		idle = 0
 		blocked := 0
 		for _, p := range in[:k] {
-			ws.popped.Add(1)
-			if e.attempt(wl, ctx, ws, p.Value, p.Priority) {
+			ctx.popped++
+			if e.attempt(wl, ctx, p.Value, p.Priority) {
 				blocked++
 				ctx.buffer(p)
+			}
+			if ctx.popped&ctx.publishMask == 0 {
+				ctx.publish()
 			}
 		}
 		if blocked == k {

@@ -196,37 +196,38 @@ func (e *Execution) protectedExecute(wl Workload, ctx *Ctx, value, priority int6
 // accounting: Executed/Discarded complete the task, a panic or exhausted
 // retry budget quarantines it (also completing it, so quiescence still
 // holds), and only a within-budget Blocked returns true for the caller to
-// re-insert. Every outcome increments exactly one of the worker's stat
+// re-insert. Every outcome increments exactly one of the worker's tally
 // counters, preserving the Popped = Executed + Discarded + Reinserted +
-// Failed identity.
-func (e *Execution) attempt(wl Workload, ctx *Ctx, ws *workerState, value, priority int64) (blocked bool) {
+// Failed identity; completions wait in the tally for the worker's next
+// publish.
+func (e *Execution) attempt(wl Workload, ctx *Ctx, value, priority int64) (blocked bool) {
 	st, err := e.protectedExecute(wl, ctx, value, priority)
 	if err != nil {
-		ws.failed.Add(1)
+		ctx.failed++
 		e.quarantine(Failure{Worker: ctx.Worker, Value: value, Priority: priority, Kind: Panicked, Err: err})
-		ctx.counters.Complete(ctx.Worker)
+		ctx.completions++
 		return false
 	}
 	switch st {
 	case Executed:
-		ws.executed.Add(1)
+		ctx.executed++
 	case Discarded:
-		ws.discarded.Add(1)
+		ctx.discarded++
 	default: // Blocked
 		if e.maxRetries > 0 {
 			if n := e.retries.bump(value, priority); n > e.maxRetries {
-				ws.failed.Add(1)
+				ctx.failed++
 				e.quarantine(Failure{Worker: ctx.Worker, Value: value, Priority: priority, Kind: RetriesExhausted, Err: ErrRetriesExhausted})
-				ctx.counters.Complete(ctx.Worker)
+				ctx.completions++
 				return false
 			}
 		}
-		ws.reinserted.Add(1)
+		ctx.reinserted++
 		return true
 	}
 	if e.maxRetries > 0 {
 		e.retries.forget(value, priority)
 	}
-	ctx.counters.Complete(ctx.Worker)
+	ctx.completions++
 	return false
 }

@@ -18,6 +18,9 @@ import (
 // to diagnose. Conversely, flat progress with zero live tasks is not a
 // stall at all — it is an idle service whose workers are parked waiting
 // for arrivals — so a stall additionally requires live unfinished work.
+// Workers normally publish completions every 64 pops; with the watchdog
+// armed they publish on every pop, so a run of slow tasks that completes
+// one at a time still moves the tally with each one.
 
 // WorkerPhase is a worker's last published state, sampled by the watchdog.
 type WorkerPhase int32
@@ -55,7 +58,9 @@ func (p WorkerPhase) String() string {
 type WorkerSnapshot struct {
 	Worker int
 	Phase  WorkerPhase
-	// Popped..Failed mirror Stats for this worker alone.
+	// Popped..Failed mirror Stats for this worker alone, as of the worker's
+	// last publication. Workers publish after every pop while the watchdog
+	// is armed, so a snapshot lags by at most the pop in progress.
 	Popped, Executed, Discarded, Reinserted, Failed int64
 	// EmptyPops counts pops that found the queue apparently empty — a
 	// worker with a huge EmptyPops share while tasks are live points at a
@@ -85,14 +90,17 @@ type StallReport struct {
 	// a wedged peer or a batching producer that went quiet without Flush —
 	// the parked ones have nothing visible to pop and are healthy.
 	ParkedWorkers int
-	// Workers snapshots every worker's phase and tallies.
+	// Workers snapshots every worker's phase and published tallies. Each
+	// count is monotone, so every per-worker sum is at most the final Stats.
 	Workers []WorkerSnapshot
 }
 
 // workerState is one worker's shared stat block: written only by its
-// worker (uncontended atomic adds on a private line), read by the watchdog
-// and by Wait's final accumulation. Padded so neighbouring workers never
-// false-share.
+// worker, which stores its running totals here when it publishes (every 64
+// pops, or every pop with the watchdog armed, and before every termination
+// scan, so last before it exits), and read by the watchdog and by Wait's
+// final accumulation. A reader sees the counts as of the last publication,
+// at most 63 pops behind. Padded so neighbouring workers never false-share.
 type workerState struct {
 	_          [64]byte
 	popped     atomic.Int64

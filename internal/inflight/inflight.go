@@ -24,6 +24,14 @@
 // are only produced while processing a live one, none can appear afterwards
 // except through queues the caller has already observed empty.
 //
+// Production must be recorded before the task becomes visible; completion
+// may be recorded late, and in batches (CompleteN). A late completion only
+// lowers the completed reads, so the scan sees completed < produced and
+// reports false for longer: safety needs completed <= produced, which
+// lateness preserves. Liveness is the caller's side of the bargain: a
+// worker must record every completion it holds before it polls Quiescent,
+// parks or exits, so the last one to drain still sees the balance.
+//
 // # Open systems: dynamic external producers
 //
 // The closed-world argument above assumes tasks are only born while a
@@ -260,11 +268,22 @@ func (c *Counter) ProduceN(w int, n int64) {
 
 // Complete records that worker w finished processing one task. It must be
 // called after every task the processing produced has been recorded with
-// Produce.
+// Produce. It may be called any time after that: a late completion only
+// keeps Quiescent false for longer (see the package comment).
 //
 //relax:hotpath
 func (c *Counter) Complete(w int) {
 	c.slots[w].completed.Add(1)
+}
+
+// CompleteN records n completions by worker w at once, n >= 0: the
+// batched form of Complete, under the same contract for each of the n.
+//
+//relax:hotpath
+func (c *Counter) CompleteN(w int, n int64) {
+	if n > 0 {
+		c.slots[w].completed.Add(n)
+	}
 }
 
 // Open returns the number of registered producers not yet closed.

@@ -34,6 +34,33 @@ func TestSequentialAccounting(t *testing.T) {
 	}
 }
 
+// TestCompleteNBatches: CompleteN(w, n) is n Completes on w's slot, a zero
+// batch records nothing, and a batch that leaves one task unrecorded keeps
+// the counter from sealing.
+func TestCompleteNBatches(t *testing.T) {
+	c := New(2)
+	c.ProduceN(0, 70)
+	c.CompleteN(1, 0)
+	if produced, completed := c.Tallies(); produced != 70 || completed != 0 {
+		t.Fatalf("Tallies after CompleteN(1, 0) = (%d, %d), want (70, 0)", produced, completed)
+	}
+	c.CompleteN(1, 63)
+	c.CompleteN(0, 6)
+	if c.Quiescent() {
+		t.Fatal("quiescent with one completion unrecorded")
+	}
+	if c.Live() != 1 {
+		t.Fatalf("Live = %d, want 1", c.Live())
+	}
+	if got := c.slots[1].completed.Load(); got != 63 {
+		t.Fatalf("worker 1's completed tally = %d, want 63", got)
+	}
+	c.CompleteN(0, 1)
+	if !c.Quiescent() {
+		t.Fatal("not quiescent once every completion was recorded")
+	}
+}
+
 func TestFreshClosedWorldSealsImmediately(t *testing.T) {
 	// A closed-world counter with nothing produced is quiescent (an empty
 	// frontier terminates at once), and the observation is permanent.

@@ -88,7 +88,6 @@ type StreamResult struct {
 // atomic ticket, claimed at execution time.
 type topkWorkload struct {
 	execute func(worker int, job, priority int64)
-	next    atomic.Int64
 	logs    []execLog
 	// Latency tracking, nil when StreamOptions.LatencyJobs == 0: arrivals[j]
 	// holds job j's push timestamp (ns since base, atomically stored by its
@@ -98,6 +97,13 @@ type topkWorkload struct {
 	base     time.Time
 	arrivals []atomic.Int64
 	lats     []latHist
+	_        [24]byte // close out the read-only fields' two lines
+	// next is the execution ticket. Every job claims it, from whichever
+	// worker runs the job, so its line moves between cores on every claim.
+	// It has a line of its own because, sharing one with the read-only
+	// fields above, it made every job's loads of those miss as well.
+	next atomic.Int64
+	_    [56]byte
 }
 
 // latHist pads a worker's histogram to a cache-line multiple so adjacent

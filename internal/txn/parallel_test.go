@@ -82,42 +82,76 @@ func TestSplitPathCertifies(t *testing.T) {
 	}
 }
 
-// TestContentionPromotes drives the detector deterministically: the hot
-// record's contention integrator is charged to the threshold (as a burst
-// of conflicts would), and the next commutative writer must flip it to
-// split mode, deltas must take the split path, every split record must be
-// fenced by the end-of-run sweep, and the run must certify. (Organic
+// TestContentionPromotes drives the detector through its own seams, so no
+// assertion depends on how attempts interleave. The hot record's
+// contention integrator is charged to the threshold (as a burst of
+// conflicts would); then, from this goroutine alone, the first transaction
+// that writes the record must flip it to split mode (that attempt reports
+// Blocked), and the same transaction's retry must deposit its delta on the
+// split path. The rest of the stream then runs on the engine: the split
+// record must be fenced, mid-run or by the end-of-run sweep, every
+// transaction must commit exactly once, and the run must certify. (Organic
 // conflicts can't be relied on in a unit test — on a single-core runner
 // the OCC windows essentially never overlap.)
 func TestContentionPromotes(t *testing.T) {
 	spec := WorkloadSpec{Txns: 20000, Keys: 4, Skew: 1.2, OpsPerTxn: 1, ReadFrac: 0, Seed: 29}
-	wl, err := NewWorkload(spec, 4, true)
+	wl, err := NewWorkload(spec, 4, false) // the stream arrives through a producer
 	if err != nil {
 		t.Fatal(err)
 	}
+	hot := int64(-1)
+	for id := int64(0); id < int64(spec.Txns); id++ {
+		if op := wl.opsOf(id)[0]; op.Key == 0 && op.Kind != OpRead {
+			hot = id
+			break
+		}
+	}
+	if hot < 0 {
+		t.Fatal("no transaction writes record 0")
+	}
+	kind := wl.opsOf(hot)[0].Kind
+	r := wl.st.rec(0)
 	for i := 0; i < promoteHeat/heatConflict; i++ {
-		wl.st.rec(0).conflictHeat()
+		r.conflictHeat()
 	}
-	st, err := engine.Run(wl, engine.Options{ExecOptions: execOpts(cq.MultiQueueBackend, 4, 0, 3)})
+	ctx := &engine.Ctx{Worker: 0}
+	if st := wl.TryExecute(ctx, hot, hot); st != engine.Blocked {
+		t.Fatalf("the promoting attempt reported %v, want Blocked", st)
+	}
+	if got := wl.promotions.n.Load(); got != 1 || r.mode.Load() != modeSplit || OpKind(r.splitKind.Load()) != kind {
+		t.Fatalf("a write of kind %d on a record at threshold heat left promotions %d, mode %d, split kind %d",
+			kind, got, r.mode.Load(), r.splitKind.Load())
+	}
+	if st := wl.TryExecute(ctx, hot, hot); st != engine.Executed {
+		t.Fatalf("the retry on the split record reported %v, want Executed", st)
+	}
+	if got := wl.deposits.n.Load(); got != 1 {
+		t.Fatalf("split deposits = %d after the retry, want 1", got)
+	}
+
+	e, err := engine.Start(wl, engine.Options{ExecOptions: execOpts(cq.MultiQueueBackend, 4, 0, 3), Producers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := e.NewProducer()
+	for id := int64(0); id < int64(spec.Txns); id++ {
+		if id != hot {
+			p.Push(id, id)
+		}
+	}
+	p.Close()
+	st := e.Wait()
 	if err := wl.Certify(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Executed != int64(spec.Txns) {
-		t.Fatalf("executed %d of %d", st.Executed, spec.Txns)
-	}
-	if got := wl.promotions.n.Load(); got == 0 {
-		t.Error("a write on a record at threshold heat never promoted it")
-	}
-	if wl.deposits.n.Load() == 0 {
-		t.Error("record promoted but no delta ever took the split path")
+	if st.Interrupted || st.Executed != int64(spec.Txns)-1 || wl.Commits() != int64(spec.Txns) {
+		t.Fatalf("engine executed %d of the other %d, %d commits logged in all (interrupted %v)",
+			st.Executed, spec.Txns-1, wl.Commits(), st.Interrupted)
 	}
 	if wl.reconciles.n.Load() == 0 {
 		t.Error("split record never fenced — the end-of-run sweep is broken")
 	}
-	if mode := wl.st.rec(0).mode.Load(); mode != modeMerged {
+	if mode := r.mode.Load(); mode != modeMerged {
 		t.Errorf("hot record left in mode %d after certification", mode)
 	}
 }
