@@ -43,6 +43,12 @@
 // handle is an epoch slot and a home shard. A MultiQueue handle is a queue
 // index and a countdown, nothing else: it holds no elements, its Close is a
 // no-op, and like every handle it belongs to one goroutine.
+//
+// A run's frontier enters through Seed, in one call before any worker
+// starts. A MultiQueue deals it round-robin — pair i to queue i mod q, so
+// adjacent labels sit in different queues — and sizes each queue's run
+// once, at its final length; every other backend takes one handle Push per
+// pair.
 package cq
 
 import (

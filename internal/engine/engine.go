@@ -35,6 +35,16 @@
 // holding completions the scan cannot see, and the worker that drains last
 // sees the balance.
 //
+// The frontier is seeded in one deal. Start collects the pairs Frontier
+// emits in chunks that are never copied, records them all with one
+// ProduceN, and hands them to the queue in one cq.Seed call, which a
+// MultiQueue deals round-robin (pair i to queue i mod q, each run allocated
+// once at its final length). Produce-before-visible holds as it does for a
+// spawn: the ProduceN comes before the deal, and no worker has launched, so
+// nothing can pop a seeded pair before it is counted. A frontier holding
+// cq.ReservedPriority is refused by Start with an error before any pair
+// reaches the queue or any goroutine starts.
+//
 // Closed-world runs (Run) are the default: every task is born from the
 // frontier or from Ctx.Spawn inside a worker. Start opens the system to
 // external producers — Producer handles created with Execution.NewProducer
@@ -163,7 +173,9 @@ const (
 // needing ordered side effects layer their own, as core's OnProcess does).
 type Workload interface {
 	// Frontier emits the initial (value, priority) pairs. It runs once,
-	// before any worker starts, on the engine's goroutine.
+	// before any worker starts, on the engine's goroutine; the pairs reach
+	// the queue together after it returns, and a pair with
+	// cq.ReservedPriority makes Start fail.
 	Frontier(emit func(value, priority int64))
 	// TryExecute attempts the popped task. New tasks are spawned through
 	// ctx.Spawn (never from a Blocked attempt); ctx is worker-local and
@@ -410,7 +422,10 @@ func Run(wl Workload, opts Options) (Result, error) {
 }
 
 // Start validates the options, seeds the frontier and launches the worker
-// pool, returning an Execution handle. With opts.Producers > 0 the run is
+// pool, returning an Execution handle. The frontier goes into the queue in
+// one deal before any worker starts (see the package comment); a frontier
+// pair with cq.ReservedPriority makes Start return an error with nothing
+// queued and nothing started. With opts.Producers > 0 the run is
 // an open system: the caller creates that many Producer handles with
 // NewProducer (plus any later dynamic ones), feeds the frontier through
 // them, closes each, and then Wait returns once every task — seeded,
@@ -447,15 +462,19 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 
 	seedRng := rng.New(opts.Seed)
 	counters := inflight.NewOpen(pool, opts.Producers)
-	seedHandle := cq.HandleFor(mq)
-	wl.Frontier(func(value, priority int64) {
-		// Produce before the push makes the pair visible, exactly as
-		// Ctx.Spawn does on the hot path. No wake needed: workers have not
-		// launched yet, so nobody can be parked.
-		counters.Produce(0)
-		seedHandle.Push(seedRng, value, priority)
-	})
-	seedHandle.Close()
+	var seed frontier
+	wl.Frontier(seed.emit)
+	if seed.n > 0 {
+		// Produce before any pair is visible, as Ctx.Spawn does on the hot
+		// path: one ProduceN for the whole frontier, then one deal into the
+		// queue. No worker has launched, so nobody can pop a pair early and
+		// nobody is parked to wake. A refused frontier leaves the queue
+		// empty and starts nothing; the counter goes with it.
+		counters.ProduceN(0, seed.n)
+		if err := cq.Seed(mq, seedRng, seed.chunks); err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+	}
 
 	e := &Execution{
 		mq:         mq,
@@ -513,6 +532,36 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 		go e.controller()
 	}
 	return e, nil
+}
+
+// Frontier chunk sizes, in pairs. The first chunk is small, so a one-pair
+// frontier (SSSP's source, a branch-and-bound root) costs one small
+// allocation; the rest are 64 KB each.
+const (
+	firstChunkPairs = 64
+	chunkPairs      = 4096
+)
+
+// frontier collects the pairs a Workload's Frontier emits, in chunks that
+// are never copied: a full chunk stays where it is and the next one starts
+// beside it, so the frontier costs its own size once.
+type frontier struct {
+	chunks [][]cq.Pair
+	n      int64
+}
+
+func (f *frontier) emit(value, priority int64) {
+	k := len(f.chunks) - 1
+	if k < 0 || len(f.chunks[k]) == cap(f.chunks[k]) {
+		size := chunkPairs
+		if k < 0 {
+			size = firstChunkPairs
+		}
+		f.chunks = append(f.chunks, make([]cq.Pair, 0, size))
+		k++
+	}
+	f.chunks[k] = append(f.chunks[k], cq.Pair{Value: value, Priority: priority})
+	f.n++
 }
 
 // controller is the elastic-pool policy loop: it samples live (queued or

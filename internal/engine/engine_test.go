@@ -2,7 +2,10 @@ package engine_test
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"relaxsched/internal/bnb"
 	"relaxsched/internal/core"
@@ -173,6 +176,67 @@ func TestRunEmptyFrontier(t *testing.T) {
 			}
 			if st.Stats != (engine.Stats{}) || st.Interrupted || len(st.Failures) != 0 || st.Stall != nil {
 				t.Fatalf("%s/batch%d: non-zero result %+v for empty workload", backend, batch, st)
+			}
+		}
+	}
+}
+
+// flatWorkload emits n independent tasks, the one at index reserved (if
+// any) with the priority backends reserve, and counts its executions.
+type flatWorkload struct {
+	n, reserved int
+	executed    atomic.Int64
+}
+
+func (f *flatWorkload) Frontier(emit func(value, priority int64)) {
+	for i := 0; i < f.n; i++ {
+		p := int64(i)
+		if i == f.reserved {
+			p = cq.ReservedPriority
+		}
+		emit(int64(i), p)
+	}
+}
+
+func (f *flatWorkload) TryExecute(*engine.Ctx, int64, int64) engine.Status {
+	f.executed.Add(1)
+	return engine.Executed
+}
+
+// A frontier holding the reserved priority is refused by Start with an
+// error, before anything reaches the queue: no task runs, and no worker,
+// watchdog, deadline or controller goroutine is left behind. The engine is
+// none the worse for it: the next Start on the same backend runs.
+func TestStartRejectsReservedPriority(t *testing.T) {
+	for _, backend := range cq.Backends() {
+		for _, at := range []int{0, 2999, 5999} {
+			wl := &flatWorkload{n: 6000, reserved: at}
+			opts := engine.Options{
+				ExecOptions: engine.ExecOptions{Threads: 2, QueueMultiplier: 2, Backend: backend, Seed: 1,
+					Deadline: time.Minute, StallTimeout: time.Minute},
+				Producers:  1,
+				MinWorkers: 1,
+				MaxWorkers: 4,
+			}
+			// Only a rise counts: an unrelated goroutine from an earlier
+			// test may still be exiting, but nothing here starts one.
+			before := runtime.NumGoroutine()
+			e, err := engine.Start(wl, opts)
+			after := runtime.NumGoroutine()
+			if err == nil || e != nil {
+				t.Fatalf("%s: Start accepted the reserved priority at %d", backend, at)
+			}
+			if after > before {
+				t.Fatalf("%s: a refused Start left %d goroutines behind", backend, after-before)
+			}
+			if n := wl.executed.Load(); n != 0 {
+				t.Fatalf("%s: a refused Start executed %d tasks", backend, n)
+			}
+
+			ok := &flatWorkload{n: 6000, reserved: -1}
+			res, err := engine.Run(ok, engine.Options{ExecOptions: engine.ExecOptions{Threads: 2, QueueMultiplier: 2, Backend: backend, Seed: 1}})
+			if err != nil || res.Executed != 6000 || ok.executed.Load() != 6000 {
+				t.Fatalf("%s: Start after a refused one: err %v, executed %d of 6000", backend, err, res.Executed)
 			}
 		}
 	}
