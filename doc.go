@@ -94,13 +94,11 @@
 //     and contention-free termination detection (cache-padded per-worker
 //     in-flight counters, internal/inflight);
 //   - a transactional-model simulator (aborts under optimistic concurrent
-//     execution, Section 4 of the paper) and, since PR 10, a real OCC
-//     transactional engine workload (ParallelTransactions): a sharded
-//     versioned KV store hammered by Zipf-skewed transactions, one
-//     optimistic attempt per TryExecute with the engine re-insert as the
-//     retry loop, a contention detector that promotes hot records to
-//     Doppel-style split/phased handling (per-worker commutative deltas
-//     reconciled at phase fences), and post-run serializability
+//     execution, Section 4 of the paper) and a real OCC transactional
+//     engine workload (ParallelTransactions): a sharded versioned KV store
+//     hammered by Zipf-skewed transactions, one optimistic attempt per
+//     TryExecute with the engine re-insert as the retry loop (a conflict
+//     aborts, as in the model), and post-run serializability
 //     certification by replaying the commit log in ticket order — the
 //     same TxnWorkloadSpec drives the sequential Section 4 model as the
 //     conformance oracle (SimulateTransactionSpec);
@@ -109,8 +107,12 @@
 //
 // # Quick start
 //
-//	g := relaxsched.RandomGraph(100000, 500000, 100, 1)
-//	res := relaxsched.ParallelSSSP(g, 0, 8, 2, 42)
+//	g := relaxsched.RandomGraphWith(relaxsched.RandomGraphOptions{
+//		N: 100000, M: 500000, MaxWeight: 100, Seed: 1,
+//	})
+//	res := relaxsched.ParallelSSSPWith(g, 0, relaxsched.ParallelSSSPOptions{
+//		ExecOptions: relaxsched.ExecOptions{Threads: 8, QueueMultiplier: 2, Seed: 42},
+//	})
 //	fmt.Printf("overhead %.3f\n", res.Overhead())
 //
 // To run the same computation over a different concurrent queue design,

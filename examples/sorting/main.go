@@ -48,8 +48,12 @@ func main() {
 		{"k-relaxed k=16", func() relaxsched.Scheduler { return relaxsched.NewKRelaxedScheduler(dag.N, 16) }},
 		{"random-k k=16", func() relaxsched.Scheduler { return relaxsched.NewRandomKScheduler(dag.N, 16, 7) }},
 		{"batch k=8", func() relaxsched.Scheduler { return relaxsched.NewBatchScheduler(dag.N, 8) }},
-		{"multiqueue 8q", func() relaxsched.Scheduler { return relaxsched.NewMultiQueue(dag.N, 8, 2, false, 7) }},
-		{"spraylist p=8", func() relaxsched.Scheduler { return relaxsched.NewSprayList(dag.N, 8, 7) }},
+		{"multiqueue 8q", func() relaxsched.Scheduler {
+			return relaxsched.NewMultiQueueWith(relaxsched.MultiQueueOptions{N: dag.N, Queues: 8, Choices: 2, Seed: 7})
+		}},
+		{"spraylist p=8", func() relaxsched.Scheduler {
+			return relaxsched.NewSprayListWith(relaxsched.SprayListOptions{N: dag.N, Threads: 8, Seed: 7})
+		}},
 	}
 	for _, s := range schedulers {
 		aud := relaxsched.NewAuditor(s.mk(), 4096)

@@ -41,9 +41,11 @@ func main() {
 		side++
 	}
 	families := []family{
-		{"random", relaxsched.RandomGraph(*n, 5**n, 100, 1)},
-		{"road", relaxsched.RoadGraph(side, side, 10000, 100, 2)},
-		{"social", relaxsched.SocialGraph(*n, 8, 100, 3)},
+		{"random", relaxsched.RandomGraphWith(relaxsched.RandomGraphOptions{N: *n, M: 5 * *n, MaxWeight: 100, Seed: 1})},
+		{"road", relaxsched.RoadGraphWith(relaxsched.RoadGraphOptions{
+			Width: side, Height: side, MaxWeight: 10000, DropPerMille: 100, Seed: 2,
+		})},
+		{"social", relaxsched.SocialGraphWith(relaxsched.SocialGraphOptions{N: *n, Degree: 8, MaxWeight: 100, Seed: 3})},
 	}
 	if *dimacs != "" {
 		f, err := os.Open(*dimacs)
@@ -67,7 +69,9 @@ func main() {
 		fmt.Printf("%8s %12s %10s %10s\n", "threads", "processed", "overhead", "time")
 		for threads := 1; threads <= *maxT; threads *= 2 {
 			start = time.Now()
-			res := relaxsched.ParallelSSSP(fam.g, 0, threads, 2, uint64(threads))
+			res := relaxsched.ParallelSSSPWith(fam.g, 0, relaxsched.ParallelSSSPOptions{
+				ExecOptions: relaxsched.ExecOptions{Threads: threads, QueueMultiplier: 2, Seed: uint64(threads)},
+			})
 			elapsed := time.Since(start)
 			for v := range exact.Dist {
 				if res.Dist[v] != exact.Dist[v] {

@@ -20,44 +20,27 @@ import (
 //  1. Read phase: observe (value, version word) per operation. A word
 //     found locked is re-read up to lockedWait times first: the attempt
 //     holds nothing yet, so the wait cannot deadlock, and the holder is
-//     straight-line code away from releasing. Reads and merged-mode
-//     writes record the word; writes to a split record of the matching
-//     kind become deferred deposits; anything else (a record still locked
-//     after the wait, split record of another kind, reconcile in flight)
-//     aborts the attempt.
-//  2. Lock the merged-mode write set in key order. The lock CAS is
-//     anchored to the observed word, so locking *is* write validation.
+//     straight-line code away from releasing. A record still locked after
+//     the wait, or a read whose word moved under it, aborts the attempt.
+//  2. Lock the write set in key order. The lock CAS is anchored to the
+//     observed word, so locking *is* write validation.
 //  3. Claim the commit ticket. Because every lock is held across the
-//     ticket claim and the install, and every read/split observation is
-//     re-validated after the claim, ticket order is a valid serial order —
-//     the certification replay below checks exactly that.
-//  4. Validate reads and split observations (word unchanged).
-//  5. Latch split records (writers counter), re-checking the epoch; then
-//     deposit the commutative deltas into this worker's cells and release
-//     the latches. Deposits land before any install so a latch failure
-//     still aborts cleanly.
-//  6. Install merged writes and release locks with a version bump; log
-//     the commit to the worker's commit log as the words ticket, label,
-//     then the observed value of each OpRead in operation order.
+//     ticket claim and the install, and every read is re-validated after
+//     the claim, ticket order is a valid serial order — the certification
+//     replay below checks exactly that.
+//  4. Validate reads (word unchanged).
+//  5. Install writes and release locks with a version bump; log the
+//     commit to the worker's commit log as the words ticket, label, then
+//     the observed value of each OpRead in operation order.
 //
-// Hot records are promoted to split mode by the contention integrator
-// (record.heat) and demoted by the phase fence (record.tryReconcile),
-// which blocked readers trigger via the pressure counter — Doppel's
-// phased reconciliation with the phase change driven by contention
-// instead of a global clock.
-
-// clsRead/clsWrite/clsSplit classify one observed operation.
-const (
-	clsRead int8 = iota
-	clsWrite
-	clsSplit
-)
+// A conflict is never resolved inside the attempt: it aborts, and the
+// engine re-inserts the transaction — the paper's Section 4 rule, whose
+// abort count Theorem 4.3 bounds.
 
 // observation is the validation anchor for one operation of one attempt.
 type observation struct {
 	word uint64
 	val  int64
-	cls  int8
 }
 
 // lockedWait is how many times the read phase re-reads a locked word
@@ -117,17 +100,13 @@ type Workload struct {
 	st  *store
 	// ops is every transaction's operations in one arena: transaction id
 	// owns ops[id*stride : (id+1)*stride], stride = OpsPerTxn.
-	ops     []Op
-	stride  int
-	workers int
-	seeded  bool
+	ops    []Op
+	stride int
+	seeded bool
 
 	logs []workerLog
 
-	ticket     padCounter
-	promotions padCounter
-	reconciles padCounter
-	deposits   padCounter
+	ticket padCounter
 }
 
 // NewWorkload pregenerates the spec's transaction stream and builds the
@@ -144,13 +123,12 @@ func NewWorkload(spec WorkloadSpec, workers int, seeded bool) (*Workload, error)
 		return nil, fmt.Errorf("txn: workers = %d, want >= 1", workers)
 	}
 	w := &Workload{
-		gen:     g,
-		st:      newStore(spec.Keys, workers),
-		ops:     make([]Op, spec.Txns*spec.OpsPerTxn),
-		stride:  spec.OpsPerTxn,
-		workers: workers,
-		seeded:  seeded,
-		logs:    make([]workerLog, workers),
+		gen:    g,
+		st:     newStore(spec.Keys),
+		ops:    make([]Op, spec.Txns*spec.OpsPerTxn),
+		stride: spec.OpsPerTxn,
+		seeded: seeded,
+		logs:   make([]workerLog, workers),
 	}
 	for i := range w.logs {
 		w.logs[i].chunkWords = logChunkWords
@@ -192,8 +170,8 @@ func (w *Workload) Frontier(emit func(value, priority int64)) {
 }
 
 // TryExecute runs one OCC attempt of transaction value. Executed means
-// committed; Blocked means the attempt aborted (conflict, split-epoch
-// mismatch or phase fence) and the engine should retry it.
+// committed; Blocked means the attempt aborted on a conflict and the engine
+// should retry it.
 func (w *Workload) TryExecute(ctx *engine.Ctx, value, _ int64) engine.Status {
 	ops := w.opsOf(value)
 	n := len(ops)
@@ -201,63 +179,28 @@ func (w *Workload) TryExecute(ctx *engine.Ctx, value, _ int64) engine.Status {
 
 	// 1: observe.
 	for i := 0; i < n; i++ {
-		op := ops[i]
-		r := w.st.rec(op.Key)
+		r := w.st.rec(ops[i].Key)
 		word := r.word.Load()
 		for spin := 0; word&1 != 0 && spin < lockedWait; spin++ {
 			word = r.word.Load()
 		}
 		if word&1 != 0 {
-			if op.Kind != OpRead {
-				return w.writeConflict(r, op.Kind)
-			}
-			r.conflictHeat()
 			return engine.Blocked
 		}
-		mode := r.mode.Load()
-		if op.Kind == OpRead {
-			if mode != modeMerged {
-				return w.blockedSplit(r)
-			}
-			v := r.val.Load()
+		ob[i].word = word
+		if ops[i].Kind == OpRead {
+			ob[i].val = r.val.Load()
 			if r.word.Load() != word {
-				r.conflictHeat()
 				return engine.Blocked
 			}
-			ob[i] = observation{word: word, val: v, cls: clsRead}
-			continue
-		}
-		switch {
-		case mode == modeMerged:
-			// Proactive promotion: once the integrator marks the record
-			// hot, the next commutative writer to come along flips it to
-			// split mode — promotion doesn't wait for the writer that
-			// crosses the threshold to itself collide.
-			if r.heat.Load() >= promoteHeat && r.tryPromote(op.Kind, w.workers) {
-				w.promotions.n.Add(1)
-				return engine.Blocked
-			}
-			ob[i] = observation{word: word, cls: clsWrite}
-		case mode == modeSplit && r.splitKind.Load() == int32(op.Kind):
-			// Re-load pairs (word, mode): promotion bumps the word, so an
-			// unchanged word pins the split epoch the mode belongs to.
-			if r.word.Load() != word {
-				r.conflictHeat()
-				return engine.Blocked
-			}
-			ob[i] = observation{word: word, cls: clsSplit}
-		default:
-			// Reconciling, or split for a non-commuting kind: wait the
-			// epoch out like a reader would.
-			return w.blockedSplit(r)
 		}
 	}
 
-	// 2: lock merged writes in key order.
+	// 2: lock writes in key order.
 	var order [MaxOps]int8
 	nw := 0
 	for i := 0; i < n; i++ {
-		if ob[i].cls == clsWrite {
+		if ops[i].Kind != OpRead {
 			order[nw] = int8(i)
 			nw++
 		}
@@ -269,11 +212,9 @@ func (w *Workload) TryExecute(ctx *engine.Ctx, value, _ int64) engine.Status {
 	}
 	for li := 0; li < nw; li++ {
 		i := order[li]
-		op := ops[i]
-		r := w.st.rec(op.Key)
-		if !r.lock(ob[i].word) {
+		if !w.st.rec(ops[i].Key).lock(ob[i].word) {
 			w.unlockPrefix(ops, &ob, order[:li])
-			return w.writeConflict(r, op.Kind)
+			return engine.Blocked
 		}
 	}
 
@@ -281,69 +222,15 @@ func (w *Workload) TryExecute(ctx *engine.Ctx, value, _ int64) engine.Status {
 	// lock spans of conflicting committers always order their tickets.
 	ticket := w.ticket.n.Add(1) - 1
 
-	// 4: validate.
+	// 4: validate reads.
 	for i := 0; i < n; i++ {
-		switch ob[i].cls {
-		case clsRead:
-			r := w.st.rec(ops[i].Key)
-			if r.word.Load() != ob[i].word {
-				w.unlockPrefix(ops, &ob, order[:nw])
-				r.conflictHeat()
-				return engine.Blocked
-			}
-		case clsSplit:
-			r := w.st.rec(ops[i].Key)
-			if r.word.Load() != ob[i].word || r.mode.Load() != modeSplit {
-				w.unlockPrefix(ops, &ob, order[:nw])
-				r.conflictHeat()
-				return engine.Blocked
-			}
-		}
-	}
-
-	// 5: latch and deposit split writes. All latches are taken before any
-	// delta lands so a failed re-check aborts with nothing to undo; the
-	// latch holds the phase fence open (tryReconcile drains writers), so
-	// every deposit is collected by the reconcile that ends this epoch.
-	var latched [MaxOps]int8
-	nl := 0
-	for i := 0; i < n; i++ {
-		if ob[i].cls != clsSplit {
-			continue
-		}
-		r := w.st.rec(ops[i].Key)
-		r.writers.Add(1)
-		if r.word.Load() != ob[i].word || r.mode.Load() != modeSplit {
-			r.writers.Add(-1)
-			for j := 0; j < nl; j++ {
-				w.st.rec(ops[latched[j]].Key).writers.Add(-1)
-			}
+		if ops[i].Kind == OpRead && w.st.rec(ops[i].Key).word.Load() != ob[i].word {
 			w.unlockPrefix(ops, &ob, order[:nw])
-			return w.blockedSplit(r)
+			return engine.Blocked
 		}
-		latched[nl] = int8(i)
-		nl++
-	}
-	for j := 0; j < nl; j++ {
-		i := latched[j]
-		op := ops[i]
-		r := w.st.rec(op.Key)
-		cell := &(*r.cells.Load())[ctx.Worker]
-		switch op.Kind {
-		case OpAdd:
-			cell.add.Add(op.Arg)
-		case OpMax:
-			atomicMax(&cell.max, op.Arg)
-		case OpUnion:
-			cell.or.Or(op.Arg)
-		}
-		r.writers.Add(-1)
-	}
-	if nl > 0 {
-		w.deposits.n.Add(int64(nl))
 	}
 
-	// 6: install merged writes, release locks, log the commit.
+	// 5: install writes, release locks, log the commit.
 	for li := 0; li < nw; li++ {
 		i := order[li]
 		op := ops[i]
@@ -351,14 +238,11 @@ func (w *Workload) TryExecute(ctx *engine.Ctx, value, _ int64) engine.Status {
 		r.val.Store(op.apply(r.val.Load()))
 		r.unlockBump(ob[i].word)
 	}
-	for i := 0; i < n; i++ {
-		w.st.rec(ops[i].Key).commitDecay()
-	}
 	lg := &w.logs[ctx.Worker]
 	rec := lg.open(logRecHeader + n)
 	*rec = append(*rec, ticket, value)
 	for i := 0; i < n; i++ {
-		if ob[i].cls == clsRead {
+		if ops[i].Kind == OpRead {
 			*rec = append(*rec, ob[i].val)
 		}
 	}
@@ -374,54 +258,14 @@ func (w *Workload) unlockPrefix(ops []Op, ob *[MaxOps]observation, prefix []int8
 	}
 }
 
-// writeConflict books a write-side conflict on r and promotes it to split
-// mode once the contention integrator crosses the threshold (only
-// commutative write kinds are splittable; reads never promote).
-func (w *Workload) writeConflict(r *record, kind OpKind) engine.Status {
-	if r.conflictHeat() >= promoteHeat && kind != OpRead {
-		if r.tryPromote(kind, w.workers) {
-			w.promotions.n.Add(1)
-		}
-	}
-	return engine.Blocked
-}
-
-// blockedSplit books an attempt turned away by a split epoch. Enough
-// pressure forces the phase fence inline, so blocked readers bound how
-// long a record can stay split.
-func (w *Workload) blockedSplit(r *record) engine.Status {
-	if r.pressure.Add(1) >= reconcilePressure && r.mode.Load() == modeSplit {
-		if r.tryReconcile() {
-			w.reconciles.n.Add(1)
-		}
-	}
-	return engine.Blocked
-}
-
-// atomicMax raises *a to at least v. The CAS retry is monotone: it only
-// repeats when another depositor raised the cell, so it converges in at
-// most one step per concurrent writer.
-func atomicMax(a *atomic.Int64, v int64) {
-	//relax:allow spinbound: monotone CAS-max — each retry means another writer raised the cell, and once cur >= v the loop exits, so total retries are bounded by the number of concurrent depositors
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Certify replays the commit log in ticket order against a fresh store and
 // fails on the first thing that is not a serial execution of the stream: a
 // malformed log (a record naming a transaction or a ticket that does not
 // exist, two records with one ticket, a record count that differs from the
 // workers' own), a logged read that disagrees with the replay, a
 // transaction committed twice, or a final store state that diverges from
-// the replayed one. Call it only after the run has quiesced; it fences any
-// still-split records first.
+// the replayed one. Call it only after the run has quiesced.
 func (w *Workload) Certify() error {
-	w.reconciles.n.Add(w.st.reconcileAll())
-
 	// Tickets are unique and below the ticket counter, so one pass places
 	// every record at its ticket and the run is ordered without a sort:
 	// at[t] is the chunk and the offset + 1 of ticket t's record, 0 where
@@ -523,10 +367,9 @@ type ParallelResult struct {
 	// sequential model's Result: Aborts counts failed OCC attempts
 	// (engine re-insertions), Starts every attempt.
 	Counts
-	// Promotions counts merged → split phase changes; Reconciles counts
-	// the fences back (including the end-of-run sweep); SplitDeposits
-	// counts commutative deltas that took the split path instead of a
-	// lock.
+	// Promotions, Reconciles and SplitDeposits always read 0. They remain
+	// only because the benchmark module still reads them; the change that
+	// drops them from the benchmark removes them.
 	Promotions    int64
 	Reconciles    int64
 	SplitDeposits int64
@@ -538,11 +381,11 @@ type ParallelResult struct {
 	Interrupted bool
 }
 
-// ParallelRun executes the spec's transaction stream for real — OCC with
-// contention-triggered phase splitting over the relaxed engine — and then
-// certifies serializability by replaying the commit log in ticket order.
-// A certification failure is returned as an error: a run that cannot
-// prove its own serial order did not succeed.
+// ParallelRun executes the spec's transaction stream for real — OCC over
+// the relaxed engine, a conflicting attempt aborting and being
+// re-inserted — and then certifies serializability by replaying the
+// commit log in ticket order. A certification failure is returned as an
+// error: a run that cannot prove its own serial order did not succeed.
 func ParallelRun(spec WorkloadSpec, opts ParallelOptions) (ParallelResult, error) {
 	if opts.Threads < 1 {
 		return ParallelResult{}, fmt.Errorf("txn: Threads = %d, want >= 1", opts.Threads)
@@ -583,15 +426,11 @@ func ParallelRun(spec WorkloadSpec, opts ParallelOptions) (ParallelResult, error
 			Aborts:  st.Reinserted,
 			Starts:  st.Executed + st.Reinserted,
 		},
-		Promotions:    wl.promotions.n.Load(),
-		SplitDeposits: wl.deposits.n.Load(),
-		Quarantined:   st.Failed,
-		Interrupted:   st.Interrupted,
+		Quarantined: st.Failed,
+		Interrupted: st.Interrupted,
 	}
-	certErr := wl.Certify()
-	res.Reconciles = wl.reconciles.n.Load()
-	if certErr != nil {
-		return res, certErr
+	if err := wl.Certify(); err != nil {
+		return res, err
 	}
 	if !st.Interrupted && st.Failed == 0 && st.Executed != int64(spec.Txns) {
 		return res, fmt.Errorf("txn: committed %d of %d transactions", st.Executed, spec.Txns)

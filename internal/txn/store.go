@@ -1,71 +1,19 @@
 package txn
 
-import (
-	"math"
-	"runtime"
-	"sync/atomic"
-)
-
-// Phase-split tuning. heat is a per-record contention integrator sampled on
-// every conflict and commit touching the record: a conflict adds
-// heatConflict, a commit subtracts heatDecay, so the value tracks the
-// abort rate over a sliding window (an EWMA-style integrator — sustained
-// conflict pushes it up fast, steady success bleeds it away). A write-side
-// conflict observing heat >= promoteHeat promotes the record to split mode;
-// a reader blocked on a split record bumps pressure, and the
-// reconcilePressure-th blocked read forces the phase fence (reconcile)
-// inline.
-const (
-	heatConflict      = 16
-	heatDecay         = 1
-	promoteHeat       = 64
-	reconcilePressure = 2
-)
-
-// record modes (record.mode).
-const (
-	modeMerged      = 0 // normal OCC: value lives in val, guarded by word
-	modeSplit       = 1 // hot: commutative writes go to per-worker cells
-	modeReconciling = 2 // phase fence in progress, single reconciler
-)
+import "sync/atomic"
 
 // record is one versioned KV cell, padded to a cache line.
 //
-// word is the TL2-style version word: version<<1 | lockbit. Every state
-// transition that could invalidate a concurrent observation bumps the
-// version under the lock bit — installs by committing writers, but also
-// promotion (merged → split) and reconciliation (split → merged). That
-// single rule is what makes OCC validation sufficient: an observation
-// (read value, deferred split write, or lock anchor) is still valid iff
-// word is unchanged, because any completed transition changed it and any
-// in-flight transition holds the lock bit.
-//
-// Split mode: cells points at one delta cell per worker; writers is the
-// depositors' latch (a shared counter the reconciler waits out, not a
-// mutex); pressure counts readers turned away by the split epoch; heat is
-// the contention integrator; splitKind pins the single commutative OpKind
-// this split epoch accepts — deltas of one kind merge in any order, mixed
-// kinds would not commute with each other.
+// word is the TL2-style version word: version<<1 | lockbit. Only a
+// committing writer changes the value, and it does so under the lock bit
+// and releases with a version bump. That single rule is what makes OCC
+// validation sufficient: an observation (read value or lock anchor) is
+// still valid iff word is unchanged, because any completed install changed
+// it and any install in flight holds the lock bit.
 type record struct {
-	word      atomic.Uint64
-	val       atomic.Int64
-	cells     atomic.Pointer[[]deltaCell]
-	heat      atomic.Int32
-	mode      atomic.Int32
-	writers   atomic.Int32
-	pressure  atomic.Int32
-	splitKind atomic.Int32
-	_         [20]byte
-}
-
-// deltaCell is one worker's private delta accumulator for a split record,
-// padded so depositors never share a cache line. Only the slot matching the
-// epoch's splitKind is used.
-type deltaCell struct {
-	add atomic.Int64
-	max atomic.Int64 // math.MinInt64 when empty
-	or  atomic.Int64
-	_   [40]byte
+	word atomic.Uint64
+	val  atomic.Int64
+	_    [48]byte
 }
 
 // store is the sharded in-memory KV table: dense int32 keys striped across
@@ -77,13 +25,12 @@ const (
 )
 
 type store struct {
-	shards  [storeShards][]record
-	keys    int
-	workers int
+	shards [storeShards][]record
+	keys   int
 }
 
-func newStore(keys, workers int) *store {
-	st := &store{keys: keys, workers: workers}
+func newStore(keys int) *store {
+	st := &store{keys: keys}
 	for s := 0; s < storeShards; s++ {
 		n := keys / storeShards
 		if s < keys%storeShards {
@@ -115,110 +62,7 @@ func (r *record) unlockRestore(word uint64) {
 	r.word.Store(word)
 }
 
-// conflictHeat records a conflict attributed to this record.
-func (r *record) conflictHeat() int32 {
-	return r.heat.Add(heatConflict)
-}
-
-// commitDecay bleeds contention heat on a successful commit touching the
-// record. The floor check races benignly: heat may dip slightly below zero,
-// which only delays promotion.
-func (r *record) commitDecay() {
-	if r.heat.Load() > 0 {
-		r.heat.Add(-heatDecay)
-	}
-}
-
-// tryPromote moves a merged record into split mode for the given write
-// kind. It takes the record lock (anchored to a fresh observation, one
-// attempt — contended promotion just retries on a later conflict), installs
-// the per-worker cells, sets the kind and mode, and releases with a version
-// bump so every outstanding observation of the merged epoch is invalidated.
-func (r *record) tryPromote(kind OpKind, workers int) bool {
-	w := r.word.Load()
-	if w&1 != 0 || r.mode.Load() != modeMerged {
-		return false
-	}
-	if !r.lock(w) {
-		return false
-	}
-	if r.cells.Load() == nil {
-		cells := make([]deltaCell, workers)
-		for i := range cells {
-			cells[i].max.Store(math.MinInt64)
-		}
-		r.cells.Store(&cells)
-	}
-	r.splitKind.Store(int32(kind))
-	r.mode.Store(modeSplit)
-	r.unlockBump(w)
-	return true
-}
-
-// tryReconcile is the phase fence: it moves the record split → merged,
-// folding every deposited delta into the value. The mode CAS elects a
-// single reconciler; the writers latch is then drained (depositors are
-// straight-line stores, so the wait is short — Gosched keeps it polite
-// under oversubscription), the cells are swapped empty and merged, and the
-// version bump publishes the merged value before mode reopens the record,
-// so no reader can observe a merged value under a split-epoch version.
-func (r *record) tryReconcile() bool {
-	if !r.mode.CompareAndSwap(modeSplit, modeReconciling) {
-		return false
-	}
-	for spin := 0; r.writers.Load() != 0; spin++ {
-		if spin > 64 {
-			runtime.Gosched()
-		}
-	}
-	cells := *r.cells.Load()
-	var add, or int64
-	mx := int64(math.MinInt64)
-	for i := range cells {
-		add += cells[i].add.Swap(0)
-		if m := cells[i].max.Swap(math.MinInt64); m > mx {
-			mx = m
-		}
-		or |= cells[i].or.Swap(0)
-	}
-	v := r.val.Load()
-	switch OpKind(r.splitKind.Load()) {
-	case OpAdd:
-		v += add
-	case OpMax:
-		if mx > v {
-			v = mx
-		}
-	case OpUnion:
-		v |= or
-	}
-	r.val.Store(v)
-	// No writer can hold the lock during a split epoch (their lock CAS is
-	// anchored to a pre-promotion word), so word is even here.
-	w := r.word.Load()
-	r.word.Store(((w >> 1) + 1) << 1)
-	r.heat.Store(0)
-	r.pressure.Store(0)
-	r.mode.Store(modeMerged)
-	return true
-}
-
-// reconcileAll fences every record still split — the end-of-run sweep that
-// folds outstanding deltas in before the final state is read.
-func (st *store) reconcileAll() (reconciled int64) {
-	for s := range st.shards {
-		for i := range st.shards[s] {
-			r := &st.shards[s][i]
-			if r.mode.Load() == modeSplit && r.tryReconcile() {
-				reconciled++
-			}
-		}
-	}
-	return reconciled
-}
-
-// snapshot copies the final values; call only after the run has quiesced
-// and reconcileAll has fenced every split record.
+// snapshot copies the final values; call only after the run has quiesced.
 func (st *store) snapshot() []int64 {
 	out := make([]int64, st.keys)
 	for k := 0; k < st.keys; k++ {

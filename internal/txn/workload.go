@@ -28,14 +28,14 @@ type WorkloadSpec struct {
 	// Skew is the Zipf exponent s of the key-popularity distribution:
 	// P(key i) ∝ 1/(i+1)^s. 0 is uniform; ~0.99 is the classic hot-key
 	// benchmark setting; higher concentrates almost all traffic on a few
-	// records (the regime phase splitting exists for).
+	// records.
 	Skew float64
 	// OpsPerTxn is the number of operations per transaction, all on
 	// distinct keys (1..MaxOps, and at most Keys).
 	OpsPerTxn int
 	// ReadFrac is the probability an operation is a read; the rest are
 	// commutative writes (increment-heavy, with occasional max and
-	// set-union writes, the Doppel-style splittable mix).
+	// set-union writes).
 	ReadFrac float64
 	// Seed makes the stream deterministic. Transaction i's operations are
 	// a pure function of (Seed, i), so producers, the executor and the
@@ -62,9 +62,9 @@ func (s WorkloadSpec) Validate() error {
 	return nil
 }
 
-// OpKind is a transaction operation's type. All write kinds are commutative
-// read-modify-writes, which is what makes hot records splittable into
-// per-worker delta cells (Doppel's phased reconciliation).
+// OpKind is a transaction operation's type. All write kinds are
+// read-modify-writes of the record they name; a write conflicts with any
+// other access to that record.
 type OpKind uint8
 
 const (
@@ -132,14 +132,14 @@ func NewGen(spec WorkloadSpec) (*Gen, error) {
 		cum[i] /= total
 	}
 	cum[len(cum)-1] = 1
-	cells := 1
-	for cells < spec.Keys {
-		cells <<= 1
+	slots := 1
+	for slots < spec.Keys {
+		slots <<= 1
 	}
-	guide := make([]int32, cells+1)
+	guide := make([]int32, slots+1)
 	i := int32(0)
 	for j := range guide {
-		for cum[i] < float64(j)/float64(cells) {
+		for cum[i] < float64(j)/float64(slots) {
 			i++
 		}
 		guide[j] = i

@@ -174,7 +174,7 @@ func TestConflictDAGEdges(t *testing.T) {
 // guide or an inexact u·G would show first.
 func TestGuideTableMatchesBinarySearch(t *testing.T) {
 	for _, skew := range []float64{0, 0.5, 0.99, 1.5, 3} {
-		// 5000 keys is not a power of two, so the guide has more cells
+		// 5000 keys is not a power of two, so the guide has more slots
 		// than keys; 4096 is one, so it has exactly as many.
 		for _, keys := range []int{1, 5000, 4096} {
 			g, err := NewGen(WorkloadSpec{Txns: 1, Keys: keys, Skew: skew, OpsPerTxn: 1, ReadFrac: 0.5})

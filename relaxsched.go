@@ -49,16 +49,6 @@ func NewRandomKScheduler(n, k int, seed uint64) Scheduler { return sched.NewRand
 // it is (2k-1)-relaxed in the paper's model.
 func NewBatchScheduler(n, k int) Scheduler { return sched.NewBatch(n, k) }
 
-// NewMultiQueue returns a sequential-model MultiQueue with q internal
-// queues and c-choice probing (classic configuration: c = 2). With hashed
-// insertion (hashed = true) it supports DecreaseKey and can drive
-// RelaxedSSSP.
-//
-// Deprecated: Use NewMultiQueueWith, whose options struct names each knob.
-func NewMultiQueue(n, q, c int, hashed bool, seed uint64) Scheduler {
-	return NewMultiQueueWith(MultiQueueOptions{N: n, Queues: q, Choices: c, Hashed: hashed, Seed: seed})
-}
-
 // MultiQueueOptions configure NewMultiQueueWith.
 type MultiQueueOptions struct {
 	// N is the task-id capacity: the scheduler holds ids in [0, N).
@@ -82,14 +72,6 @@ func NewMultiQueueWith(opts MultiQueueOptions) Scheduler {
 		policy = multiqueue.HashedQueue
 	}
 	return multiqueue.New(opts.N, opts.Queues, opts.Choices, policy, opts.Seed)
-}
-
-// NewSprayList returns a sequential-model SprayList tuned for p simulated
-// threads.
-//
-// Deprecated: Use NewSprayListWith, whose options struct names each knob.
-func NewSprayList(n, p int, seed uint64) Scheduler {
-	return NewSprayListWith(SprayListOptions{N: n, Threads: p, Seed: seed})
 }
 
 // SprayListOptions configure NewSprayListWith.
@@ -200,8 +182,8 @@ func RunIncremental(dag *DAG, s Scheduler, opts RunOptions) (RunResult, error) {
 type ExecOptions = engine.ExecOptions
 
 // QueueBackend names a concurrent relaxed-queue implementation used by the
-// parallel execution paths (RunIncrementalParallel, ParallelSSSP). The zero
-// value selects the default backend.
+// parallel execution paths (RunIncrementalParallel, ParallelSSSPWith). The
+// zero value selects the default backend.
 type QueueBackend = cq.Backend
 
 const (
@@ -253,14 +235,6 @@ type GraphBuilder = graph.Builder
 // NewGraphBuilder returns a builder for a graph with n nodes.
 func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 
-// RandomGraph generates an undirected uniform G(n, m) graph with weights
-// in [1, maxW].
-//
-// Deprecated: Use RandomGraphWith, whose options struct names each knob.
-func RandomGraph(n, m int, maxW int64, seed uint64) *Graph {
-	return RandomGraphWith(RandomGraphOptions{N: n, M: m, MaxWeight: maxW, Seed: seed})
-}
-
 // RandomGraphOptions configure RandomGraphWith: N nodes, M undirected
 // edges, weights uniform in [1, MaxWeight], generation driven by Seed.
 type RandomGraphOptions struct {
@@ -303,14 +277,6 @@ func RoadGraphWith(opts RoadGraphOptions) *Graph {
 	return graph.Road(opts.Width, opts.Height, opts.MaxWeight, opts.DropPerMille, opts.Seed)
 }
 
-// SocialGraph generates a social-network-like preferential-attachment
-// graph with deg edges per arriving node and weights in [1, maxW].
-//
-// Deprecated: Use SocialGraphWith, whose options struct names each knob.
-func SocialGraph(n, deg int, maxW int64, seed uint64) *Graph {
-	return SocialGraphWith(SocialGraphOptions{N: n, Degree: deg, MaxWeight: maxW, Seed: seed})
-}
-
 // SocialGraphOptions configure SocialGraphWith: N nodes arriving with
 // Degree preferential-attachment edges each, weights in [1, MaxWeight].
 type SocialGraphOptions struct {
@@ -335,7 +301,7 @@ func WriteDIMACS(w io.Writer, g *Graph) error { return graph.WriteDIMACS(w, g) }
 // SSSPResult is the output of the sequential SSSP variants.
 type SSSPResult = sssp.Result
 
-// ParallelSSSPResult is the output of ParallelSSSP.
+// ParallelSSSPResult is the output of ParallelSSSPWith.
 type ParallelSSSPResult = sssp.ParallelResult
 
 // InfDistance is the distance reported for unreachable vertices.
@@ -360,8 +326,8 @@ func DijkstraTree(g *Graph, src int) (SSSPResult, []int32) { return sssp.Dijkstr
 func ShortestPathTo(parents []int32, src, v int) []int { return sssp.PathTo(parents, src, v) }
 
 // RelaxedSSSP runs the paper's Algorithm 3: Dijkstra through a relaxed
-// scheduler supporting DecreaseKey (e.g. NewMultiQueue with hashed = true,
-// NewSprayList, or NewKRelaxedScheduler). The pop count in the result is
+// scheduler supporting DecreaseKey (e.g. NewMultiQueueWith with Hashed
+// set, NewSprayListWith, or NewKRelaxedScheduler). The pop count in the result is
 // the quantity Theorem 6.1 bounds.
 func RelaxedSSSP(g *Graph, src int, q Scheduler) (SSSPResult, error) {
 	rq, ok := q.(sssp.RelaxedScheduler)
@@ -379,21 +345,6 @@ func (noDecreaseKeyError) Error() string {
 
 var errNoDecreaseKey = noDecreaseKeyError{}
 
-// ParallelSSSP runs SSSP with the given number of goroutines over a
-// concurrent MultiQueue with queueMultiplier queues per thread (the
-// paper's Section 7 implementation).
-//
-// Deprecated: Use ParallelSSSPWith, whose options struct names each knob
-// and exposes the full ExecOptions surface (backend selection, batching,
-// deadlines).
-func ParallelSSSP(g *Graph, src, threads, queueMultiplier int, seed uint64) ParallelSSSPResult {
-	return ParallelSSSPWith(g, src, ParallelSSSPOptions{ExecOptions: ExecOptions{
-		Threads:         threads,
-		QueueMultiplier: queueMultiplier,
-		Seed:            seed,
-	}})
-}
-
 // ParallelSSSPOptions configure ParallelSSSPWith; the Backend field selects
 // the concurrent queue implementation and the BatchSize field the number
 // of (vertex, dist) pairs a worker moves per queue operation (<= 1 runs
@@ -401,9 +352,9 @@ func ParallelSSSP(g *Graph, src, threads, queueMultiplier int, seed uint64) Para
 type ParallelSSSPOptions = sssp.ParallelOptions
 
 // ParallelSSSPWith runs SSSP with worker goroutines over the selected
-// concurrent relaxed-queue backend. Like ParallelSSSP it panics on invalid
-// options (Threads or QueueMultiplier < 1, unknown Backend); validate
-// runtime input with QueueBackend.Valid first.
+// concurrent relaxed-queue backend. It panics on invalid options (Threads
+// or QueueMultiplier < 1, unknown Backend); validate runtime input with
+// QueueBackend.Valid first.
 func ParallelSSSPWith(g *Graph, src int, opts ParallelSSSPOptions) ParallelSSSPResult {
 	return sssp.ParallelWith(g, src, opts)
 }
@@ -584,17 +535,15 @@ func SimulateTransactionSpec(spec TxnWorkloadSpec, cfg TxnConfig) (TxnResult, er
 type ParallelTxnOptions = txn.ParallelOptions
 
 // ParallelTxnResult reports a finished parallel transactional run:
-// commit/abort/start counts plus the contention-management counters
-// (promotions to split mode, phase-fence reconciliations, split-path
-// delta deposits) and the quarantine count when retries are capped.
+// commit/abort/start counts and the quarantine count when retries are
+// capped.
 type ParallelTxnResult = txn.ParallelResult
 
 // ParallelTransactions executes the generated OCC workload on the engine:
-// worker goroutines run one optimistic attempt per pop (re-insertion is
-// the retry loop), a contention detector promotes hot records to
-// split/phased handling with per-worker commutative deltas reconciled at
-// phase fences, and the finished run is certified serializable by
-// replaying its commit log in ticket order before the result is returned.
+// worker goroutines run one optimistic attempt per pop, an attempt that
+// conflicts aborts and is re-inserted (re-insertion is the retry loop),
+// and the finished run is certified serializable by replaying its commit
+// log in ticket order before the result is returned.
 func ParallelTransactions(spec TxnWorkloadSpec, opts ParallelTxnOptions) (ParallelTxnResult, error) {
 	return txn.ParallelRun(spec, opts)
 }

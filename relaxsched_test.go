@@ -16,8 +16,8 @@ func TestFacadeSchedulers(t *testing.T) {
 		"k-relaxed":  relaxsched.NewKRelaxedScheduler(100, 4),
 		"random-k":   relaxsched.NewRandomKScheduler(100, 4, 1),
 		"batch":      relaxsched.NewBatchScheduler(100, 4),
-		"multiqueue": relaxsched.NewMultiQueue(100, 4, 2, false, 1),
-		"spraylist":  relaxsched.NewSprayList(100, 4, 1),
+		"multiqueue": relaxsched.NewMultiQueueWith(relaxsched.MultiQueueOptions{N: 100, Queues: 4, Choices: 2, Seed: 1}),
+		"spraylist":  relaxsched.NewSprayListWith(relaxsched.SprayListOptions{N: 100, Threads: 4, Seed: 1}),
 	} {
 		for i := 0; i < 100; i++ {
 			s.Insert(i, int64(i))
@@ -74,7 +74,7 @@ func TestFacadeIncrementalRun(t *testing.T) {
 }
 
 func TestFacadeSSSPPipeline(t *testing.T) {
-	g := relaxsched.RandomGraph(500, 2500, 100, 7)
+	g := relaxsched.RandomGraphWith(relaxsched.RandomGraphOptions{N: 500, M: 2500, MaxWeight: 100, Seed: 7})
 	exact := relaxsched.Dijkstra(g, 0)
 	ds := relaxsched.DeltaStepping(g, 0, 10)
 	for i := range exact.Dist {
@@ -82,11 +82,14 @@ func TestFacadeSSSPPipeline(t *testing.T) {
 			t.Fatal("delta-stepping disagrees")
 		}
 	}
-	rel, err := relaxsched.RelaxedSSSP(g, 0, relaxsched.NewMultiQueue(500, 4, 2, true, 3))
+	mq := relaxsched.NewMultiQueueWith(relaxsched.MultiQueueOptions{N: 500, Queues: 4, Choices: 2, Hashed: true, Seed: 3})
+	rel, err := relaxsched.RelaxedSSSP(g, 0, mq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := relaxsched.ParallelSSSP(g, 0, 4, 2, 9)
+	par := relaxsched.ParallelSSSPWith(g, 0, relaxsched.ParallelSSSPOptions{
+		ExecOptions: relaxsched.ExecOptions{Threads: 4, QueueMultiplier: 2, Seed: 9},
+	})
 	for i := range exact.Dist {
 		if rel.Dist[i] != exact.Dist[i] || par.Dist[i] != exact.Dist[i] {
 			t.Fatal("relaxed/parallel disagree with Dijkstra")
@@ -98,9 +101,10 @@ func TestFacadeSSSPPipeline(t *testing.T) {
 }
 
 func TestFacadeRelaxedSSSPRejectsNonDecreaseKey(t *testing.T) {
-	g := relaxsched.RandomGraph(50, 100, 10, 1)
+	g := relaxsched.RandomGraphWith(relaxsched.RandomGraphOptions{N: 50, M: 100, MaxWeight: 10, Seed: 1})
 	// Random-insertion MultiQueue cannot DecreaseKey.
-	_, err := relaxsched.RelaxedSSSP(g, 0, relaxsched.NewMultiQueue(50, 2, 2, false, 1))
+	mq := relaxsched.NewMultiQueueWith(relaxsched.MultiQueueOptions{N: 50, Queues: 2, Choices: 2, Seed: 1})
+	_, err := relaxsched.RelaxedSSSP(g, 0, mq)
 	if err == nil {
 		t.Fatal("expected error for scheduler without DecreaseKey")
 	}
@@ -111,7 +115,7 @@ func TestFacadeRelaxedSSSPRejectsNonDecreaseKey(t *testing.T) {
 
 func TestFacadeGraphGeneratorsAndDIMACS(t *testing.T) {
 	road := relaxsched.RoadGraph(10, 10, 100, 50, 2)
-	social := relaxsched.SocialGraph(200, 4, 100, 2)
+	social := relaxsched.SocialGraphWith(relaxsched.SocialGraphOptions{N: 200, Degree: 4, MaxWeight: 100, Seed: 2})
 	if road.NumNodes != 100 || social.NumNodes != 200 {
 		t.Fatal("generator sizes wrong")
 	}
@@ -163,7 +167,7 @@ func TestFacadeDelaunay(t *testing.T) {
 }
 
 func TestFacadeGreedyAlgorithms(t *testing.T) {
-	g := relaxsched.RandomGraph(300, 900, 10, 5)
+	g := relaxsched.RandomGraphWith(relaxsched.RandomGraphOptions{N: 300, M: 900, MaxWeight: 10, Seed: 5})
 	w := relaxsched.NewGreedyWorkload(g, 6)
 	inMIS, res, err := relaxsched.GreedyMIS(w, relaxsched.NewKRelaxedScheduler(g.NumNodes, 4))
 	if err != nil {
@@ -193,7 +197,7 @@ func TestFacadeParallelIncrementalAndTree(t *testing.T) {
 	if res.Processed != 10 {
 		t.Fatalf("processed %d", res.Processed)
 	}
-	g := relaxsched.RandomGraph(200, 800, 50, 8)
+	g := relaxsched.RandomGraphWith(relaxsched.RandomGraphOptions{N: 200, M: 800, MaxWeight: 50, Seed: 8})
 	sr, parents := relaxsched.DijkstraTree(g, 0)
 	for v := 1; v < g.NumNodes; v++ {
 		if sr.Dist[v] == relaxsched.InfDistance {
@@ -274,10 +278,12 @@ func TestFacadeQueueBackends(t *testing.T) {
 	if backends[0] != relaxsched.BackendMultiQueue {
 		t.Fatalf("default backend is %q, want %q", backends[0], relaxsched.BackendMultiQueue)
 	}
-	g := relaxsched.RandomGraph(400, 2000, 100, 7)
+	g := relaxsched.RandomGraphWith(relaxsched.RandomGraphOptions{N: 400, M: 2000, MaxWeight: 100, Seed: 7})
 	exact := relaxsched.Dijkstra(g, 0)
 	for _, backend := range backends {
-		par := relaxsched.ParallelSSSPWith(g, 0, relaxsched.ParallelSSSPOptions{ExecOptions: relaxsched.ExecOptions{Threads: 4, QueueMultiplier: 2, Backend: backend, Seed: 9}})
+		par := relaxsched.ParallelSSSPWith(g, 0, relaxsched.ParallelSSSPOptions{
+			ExecOptions: relaxsched.ExecOptions{Threads: 4, QueueMultiplier: 2, Backend: backend, Seed: 9},
+		})
 		for i := range exact.Dist {
 			if par.Dist[i] != exact.Dist[i] {
 				t.Fatalf("%s: parallel disagrees with Dijkstra", backend)
@@ -307,7 +313,7 @@ func TestFacadeParallelWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := relaxsched.RandomGraph(600, 1800, 10, 3)
+	g := relaxsched.RandomGraphWith(relaxsched.RandomGraphOptions{N: 600, M: 1800, MaxWeight: 10, Seed: 3})
 	w := relaxsched.NewGreedyWorkload(g, 11)
 	for _, backend := range relaxsched.QueueBackends() {
 		par, err := relaxsched.ParallelBranchAndBound(tree, relaxsched.ParallelBnBOptions{ExecOptions: relaxsched.ExecOptions{Threads: 4, QueueMultiplier: 2, Backend: backend, Seed: 1}, Budget: 1 << 14})
