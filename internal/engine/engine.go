@@ -239,8 +239,7 @@ type ExecOptions struct {
 }
 
 // Options configure a Run or Start: the shared ExecOptions plus the
-// pool-shape knobs only the engine itself interprets (external producer
-// declarations and the elastic worker range).
+// external producer declarations only the engine itself interprets.
 type Options struct {
 	ExecOptions
 	// Producers declares how many external producer handles will be created
@@ -253,17 +252,6 @@ type Options struct {
 	// terminates immediately, so a service that starts idle must declare at
 	// least one producer to hold the pool open.
 	Producers int
-	// MinWorkers and MaxWorkers, when MaxWorkers > 0, make the worker pool
-	// elastic: MaxWorkers goroutines are created, Threads of them start
-	// active, and a controller grows the active set toward MaxWorkers under
-	// sustained queue depth and shrinks it toward max(MinWorkers, 1) when
-	// the queue stays empty. Deactivated workers retire to parked reserve
-	// (they still finish any task they pop, so correctness never depends on
-	// the controller) and rejoin within one wake. Requires MinWorkers <=
-	// Threads <= MaxWorkers. MaxWorkers == 0 (the default) keeps the fixed
-	// pool of exactly Threads workers.
-	MinWorkers int
-	MaxWorkers int
 }
 
 // Stats is the engine's execution accounting, summed over all workers.
@@ -444,24 +432,13 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 	if opts.Producers < 0 {
 		return nil, fmt.Errorf("engine: need Producers >= 0, got %d", opts.Producers)
 	}
-	if opts.MaxWorkers < 0 || opts.MinWorkers < 0 {
-		return nil, fmt.Errorf("engine: need MinWorkers, MaxWorkers >= 0, got %d, %d", opts.MinWorkers, opts.MaxWorkers)
-	}
-	pool := opts.Threads
-	if opts.MaxWorkers > 0 {
-		if opts.MaxWorkers < opts.Threads || opts.MinWorkers > opts.Threads {
-			return nil, fmt.Errorf("engine: elastic pool needs MinWorkers <= Threads <= MaxWorkers, got %d <= %d <= %d",
-				opts.MinWorkers, opts.Threads, opts.MaxWorkers)
-		}
-		pool = opts.MaxWorkers
-	}
-	mq, err := cq.New(opts.Backend, pool, opts.QueueMultiplier)
+	mq, err := cq.New(opts.Backend, opts.Threads, opts.QueueMultiplier)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 
 	seedRng := rng.New(opts.Seed)
-	counters := inflight.NewOpen(pool, opts.Producers)
+	counters := inflight.NewOpen(opts.Threads, opts.Producers)
 	var seed frontier
 	wl.Frontier(seed.emit)
 	if seed.n > 0 {
@@ -479,25 +456,20 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 	e := &Execution{
 		mq:         mq,
 		counters:   counters,
-		lot:        park.NewLot(pool),
+		lot:        park.NewLot(opts.Threads),
 		seedRng:    seedRng,
-		threads:    opts.Threads,
-		pool:       pool,
-		minWorkers: max(opts.MinWorkers, 1),
-		elastic:    opts.MaxWorkers > 0,
 		batch:      opts.BatchSize,
 		declared:   opts.Producers,
-		workers:    make([]workerState, pool),
+		workers:    make([]workerState, opts.Threads),
 		maxRetries: opts.MaxBlockedRetries,
 		injector:   opts.Injector,
 		donec:      make(chan struct{}),
 	}
-	e.active.Store(int32(opts.Threads))
 	publishMask := int64(publishEvery - 1)
 	if opts.StallTimeout > 0 {
 		publishMask = 0
 	}
-	for t := 0; t < pool; t++ {
+	for t := 0; t < opts.Threads; t++ {
 		e.wg.Add(1)
 		go func(w int, r *rng.Xoshiro) {
 			defer e.wg.Done()
@@ -514,22 +486,16 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 			ctx.ws.phase.Store(int32(PhaseExited))
 		}(t, seedRng.Split())
 	}
-	// The donec closer is the fan-in the watchdog, deadline timer and
-	// elastic controller hang off; spawn it only when someone is listening.
-	if opts.StallTimeout > 0 || opts.Deadline > 0 || e.elastic {
-		go func() {
-			e.wg.Wait()
-			close(e.donec)
-		}()
-	}
 	if opts.Deadline > 0 {
 		e.deadline = time.AfterFunc(opts.Deadline, e.Stop)
 	}
 	if opts.StallTimeout > 0 {
+		// The watchdog is donec's only reader, so its closer starts with it.
+		go func() {
+			e.wg.Wait()
+			close(e.donec)
+		}()
 		go e.watchdog(opts.StallTimeout, opts.OnStall)
-	}
-	if e.elastic {
-		go e.controller()
 	}
 	return e, nil
 }
@@ -564,56 +530,11 @@ func (f *frontier) emit(value, priority int64) {
 	f.n++
 }
 
-// controller is the elastic-pool policy loop: it samples live (queued or
-// executing, plus up to 63 per busy worker completed but not yet
-// published) task counts and resizes the active worker set between
-// minWorkers and the pool size. Growth is aggressive — a sustained backlog
-// beyond ~2 tasks per active worker doubles the set and wakes the reserve,
-// so a burst ramps to full width within a couple of ticks — while shrink
-// is lazy (a steady empty queue retires one worker per quiet stretch),
-// since an over-wide idle pool costs nothing once parked. Correctness
-// never depends on this loop: retired workers park exactly like idle
-// active ones, still finish any task they pop, and every worker re-checks
-// the queue on wake regardless of its active status.
-func (e *Execution) controller() {
-	const (
-		tick        = time.Millisecond
-		shrinkAfter = 50 // quiet ticks (~50ms) per single-worker retire
-	)
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	quiet := 0
-	for {
-		select {
-		case <-e.donec:
-			return
-		case <-ticker.C:
-		}
-		live := e.counters.Live()
-		act := int(e.active.Load())
-		switch {
-		case live > int64(2*act) && act < e.pool:
-			grown := min(act*2, e.pool)
-			e.active.Store(int32(grown))
-			e.lot.Wake(grown - act)
-			quiet = 0
-		case live == 0 && act > e.minWorkers:
-			if quiet++; quiet >= shrinkAfter {
-				e.active.Store(int32(act - 1))
-				quiet = 0
-			}
-		default:
-			quiet = 0
-		}
-	}
-}
-
 // idle is the shared empty-queue path, called with the worker's out-buffer
 // already flushed (the loops flush before any idle step, so a parked
 // worker never holds invisible pairs) and the phase published as Idle. It
-// returns the next idle count. The backoff prefix runs first — unless the
-// worker has been retired by the elastic controller, which parks at once —
-// and then the worker parks: sample the wakeup token, take the cheap outs
+// returns the next idle count. The backoff prefix runs first, and then
+// the worker parks: sample the wakeup token, take the cheap outs
 // (a stop or visible quiescence is about to end the loop anyway; a
 // non-empty queue means a push already landed), announce, and let
 // park.Lot's cancel callback re-check all three *after* the announce —
@@ -622,8 +543,7 @@ func (e *Execution) controller() {
 // full speed at least once before it can park again, so a wake handed to
 // it by a producer is never re-parked away without a pop attempt.
 func (e *Execution) idle(ctx *Ctx, idle int) int {
-	retired := e.elastic && ctx.Worker >= int(e.active.Load())
-	if !retired && idle < idleYields+parkAfterSleeps {
+	if idle < idleYields+parkAfterSleeps {
 		idleWait(idle)
 		return idle + 1
 	}

@@ -205,7 +205,7 @@ func (f *flatWorkload) TryExecute(*engine.Ctx, int64, int64) engine.Status {
 
 // A frontier holding the reserved priority is refused by Start with an
 // error, before anything reaches the queue: no task runs, and no worker,
-// watchdog, deadline or controller goroutine is left behind. The engine is
+// watchdog or deadline goroutine is left behind. The engine is
 // none the worse for it: the next Start on the same backend runs.
 func TestStartRejectsReservedPriority(t *testing.T) {
 	for _, backend := range cq.Backends() {
@@ -214,9 +214,7 @@ func TestStartRejectsReservedPriority(t *testing.T) {
 			opts := engine.Options{
 				ExecOptions: engine.ExecOptions{Threads: 2, QueueMultiplier: 2, Backend: backend, Seed: 1,
 					Deadline: time.Minute, StallTimeout: time.Minute},
-				Producers:  1,
-				MinWorkers: 1,
-				MaxWorkers: 4,
+				Producers: 1,
 			}
 			// Only a rise counts: an unrelated goroutine from an earlier
 			// test may still be exiting, but nothing here starts one.
@@ -237,6 +235,56 @@ func TestStartRejectsReservedPriority(t *testing.T) {
 			res, err := engine.Run(ok, engine.Options{ExecOptions: engine.ExecOptions{Threads: 2, QueueMultiplier: 2, Backend: backend, Seed: 1}})
 			if err != nil || res.Executed != 6000 || ok.executed.Load() != 6000 {
 				t.Fatalf("%s: Start after a refused one: err %v, executed %d of 6000", backend, err, res.Executed)
+			}
+		}
+	}
+}
+
+// gateWorkload emits n tasks whose TryExecute blocks until release
+// closes, so every goroutine Start launches is still alive when counted.
+type gateWorkload struct {
+	n       int
+	release chan struct{}
+}
+
+func (g *gateWorkload) Frontier(emit func(value, priority int64)) {
+	for i := 0; i < g.n; i++ {
+		emit(int64(i), int64(i))
+	}
+}
+
+func (g *gateWorkload) TryExecute(*engine.Ctx, int64, int64) engine.Status {
+	<-g.release
+	return engine.Executed
+}
+
+// Start launches exactly the pool plus what the armed options need: a
+// deadline is a timer and adds no goroutine, and a stall watchdog adds
+// itself and the closer that tells it the workers are gone.
+func TestStartGoroutines(t *testing.T) {
+	const threads = 3
+	for _, backend := range cq.Backends() {
+		for _, tc := range []struct {
+			name  string
+			stall time.Duration
+			extra int
+		}{{"deadline", 0, 0}, {"deadline+watchdog", time.Minute, 2}} {
+			wl := &gateWorkload{n: 2 * threads, release: make(chan struct{})}
+			opts := engine.Options{ExecOptions: engine.ExecOptions{Threads: threads, QueueMultiplier: 2, Backend: backend, Seed: 1,
+				Deadline: time.Minute, StallTimeout: tc.stall}}
+			// Only a rise counts, as in TestStartRejectsReservedPriority.
+			before := runtime.NumGoroutine()
+			e, err := engine.Start(wl, opts)
+			after := runtime.NumGoroutine()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", backend, tc.name, err)
+			}
+			close(wl.release)
+			if res := e.Wait(); res.Executed != int64(wl.n) || res.Interrupted {
+				t.Fatalf("%s/%s: executed %d of %d, interrupted %v", backend, tc.name, res.Executed, wl.n, res.Interrupted)
+			}
+			if rise, limit := after-before, threads+tc.extra; rise > limit {
+				t.Fatalf("%s/%s: Start added %d goroutines, want at most %d", backend, tc.name, rise, limit)
 			}
 		}
 	}

@@ -64,7 +64,6 @@ func Run(t *testing.T, backend cq.Backend) {
 	t.Run("ParkWakeRace", func(t *testing.T) { testParkWakeRace(t, backend) })
 	t.Run("IdleParksWorkers", func(t *testing.T) { testIdleParksWorkers(t, backend) })
 	t.Run("DynamicProducers", func(t *testing.T) { testDynamicProducers(t, backend) })
-	t.Run("ElasticWorkers", func(t *testing.T) { testElasticWorkers(t, backend) })
 	t.Run("StopDrains", func(t *testing.T) { testStopDrains(t, backend) })
 	t.Run("StopAfterCompletion", func(t *testing.T) { testStopAfterCompletion(t, backend) })
 	t.Run("DeadlineInterrupts", func(t *testing.T) { testDeadlineInterrupts(t, backend) })
@@ -276,20 +275,12 @@ func (w *dupWorkload) TryExecute(ctx *engine.Ctx, value, priority int64) engine.
 type streamWorkload struct {
 	n     int // producer-born task ids: [0, n); spawned children: [n, 2n)
 	spawn bool
-	// cost, when set, is slept per task: tests that need a backlog to
-	// accumulate (elastic growth) use it to bound the drain rate, so the
-	// producer outruns the workers on every backend regardless of the
-	// relative speed of its Push.
-	cost time.Duration
-	hits []atomic.Int32
+	hits  []atomic.Int32
 }
 
 func (w *streamWorkload) Frontier(func(value, priority int64)) {}
 
 func (w *streamWorkload) TryExecute(ctx *engine.Ctx, value, priority int64) engine.Status {
-	if w.cost > 0 {
-		time.Sleep(w.cost)
-	}
 	w.hits[value].Add(1)
 	if w.spawn && value < int64(w.n) {
 		ctx.Spawn(value+int64(w.n), priority+1)
@@ -575,76 +566,6 @@ func testDynamicProducers(t *testing.T, backend cq.Backend) {
 		}
 		if _, err := e.TryNewProducer(); err == nil {
 			t.Fatalf("batch %d: TryNewProducer succeeded after termination", batch)
-		}
-	}
-}
-
-// testElasticWorkers runs an elastic pool (MinWorkers/MaxWorkers) through
-// idle and burst phases: idle retires the pool to parked reserve, a
-// sustained backlog must grow the active set, and every job still executes
-// exactly once. Correctness is asserted throughout; the growth assertion
-// gives the controller a generous window.
-func testElasticWorkers(t *testing.T, backend cq.Backend) {
-	// Per-task cost bounds the drain rate (2 active workers serve at most
-	// ~2 tasks per sleep quantum), so the producer builds a backlog far
-	// beyond 2 tasks/worker on every backend, however fast or slow its
-	// Push is relative to a pop.
-	const n = 8000
-	w := &streamWorkload{n: n, cost: 20 * time.Microsecond, hits: make([]atomic.Int32, n)}
-	o := opts(backend, 2, 0, 43)
-	o.Producers = 1
-	o.MinWorkers = 1
-	o.MaxWorkers = 8
-	o.Threads = 2
-	e, err := engine.Start(w, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.ActiveWorkers(); got != 2 {
-		t.Fatalf("initial active set = %d, want Threads = 2", got)
-	}
-	p := e.NewProducer()
-	// Idle phase: the whole pool (all MaxWorkers goroutines) parks.
-	deadline := time.Now().Add(10 * time.Second)
-	for e.ParkedWorkers() != 8 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle elastic pool parked %d/8 workers", e.ParkedWorkers())
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	// Burst phase: the backlog spans many controller ticks (n tasks at
-	// cost each, against 2 active workers); the controller must widen the
-	// active set while the jobs drain.
-	grew := make(chan int, 1)
-	go func() {
-		best := 0
-		deadline := time.Now().Add(20 * time.Second)
-		for time.Now().Before(deadline) {
-			if a := e.ActiveWorkers(); a > best {
-				best = a
-				if best > 2 {
-					break
-				}
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		grew <- best
-	}()
-	for i := 0; i < n; i++ {
-		p.Push(int64(i), int64(i))
-	}
-	if best := <-grew; best <= 2 {
-		t.Errorf("active set never grew beyond %d under sustained backlog", best)
-	}
-	p.Close()
-	st := e.Wait()
-	checkStats(t, st)
-	if st.Executed != n {
-		t.Fatalf("executed %d of %d", st.Executed, n)
-	}
-	for i := range w.hits {
-		if got := w.hits[i].Load(); got != 1 {
-			t.Fatalf("task %d executed %d times", i, got)
 		}
 	}
 }

@@ -25,17 +25,8 @@ type Execution struct {
 	mq       cq.BatchQueue
 	counters *inflight.Counter
 	lot      *park.Lot
-	threads  int
 	batch    int
 	declared int
-
-	// Elastic pool state: pool is the goroutine count (MaxWorkers, or
-	// Threads when not elastic); active is the controller-managed size of
-	// the non-retired worker set.
-	pool       int
-	minWorkers int
-	elastic    bool
-	active     atomic.Int32
 
 	// mu guards seedRng (Split mutates it) and created; Start finishes its
 	// own splits before returning, so worker streams never race these.
@@ -61,7 +52,7 @@ type Execution struct {
 	interrupted atomic.Bool
 	deadline    *time.Timer
 	// stall is the latest watchdog report; donec closes when every worker
-	// has exited (allocated only when a watchdog or deadline is armed).
+	// has exited, provided a watchdog (its one reader) is armed.
 	stall atomic.Pointer[StallReport]
 	donec chan struct{}
 
@@ -124,12 +115,6 @@ func (e *Execution) TryNewProducer() (*Producer, error) {
 // (tests and idle-cost measurements read it then).
 func (e *Execution) ParkedWorkers() int {
 	return e.lot.Parked()
-}
-
-// ActiveWorkers returns the elastic controller's current active-set size
-// (Threads when the pool is not elastic).
-func (e *Execution) ActiveWorkers() int {
-	return int(e.active.Load())
 }
 
 // Wait blocks until the execution terminates — every declared producer

@@ -34,13 +34,6 @@ type StreamOptions struct {
 	// with NewProducer (>= 1). The stream terminates only after every
 	// declared producer has been created and closed.
 	Producers int
-	// MinWorkers and MaxWorkers, when MaxWorkers > 0, enable the engine's
-	// elastic worker pool: the active set starts at Threads and the
-	// controller grows it toward MaxWorkers under backlog, shrinking back
-	// toward MinWorkers when the stream goes quiet. Requires
-	// MinWorkers <= Threads <= MaxWorkers and the parking idle strategy.
-	MinWorkers int
-	MaxWorkers int
 	// LatencyJobs, when positive, enables per-job sojourn-latency tracking
 	// for jobs with ids in [0, LatencyJobs): JobProducer.Push timestamps
 	// the arrival, the executing worker records push-to-execute time in a
@@ -186,24 +179,15 @@ func NewTopKStream(opts StreamOptions) (*TopKStream, error) {
 	if opts.Threads < 1 {
 		return nil, fmt.Errorf("sched: streaming needs Threads >= 1, got %d", opts.Threads)
 	}
-	// With an elastic pool the worker index ranges over the full pool
-	// (MaxWorkers), not just the initially active Threads — size every
-	// per-worker structure by the pool.
-	pool := opts.Threads
-	if opts.MaxWorkers > pool {
-		pool = opts.MaxWorkers
-	}
-	wl := &topkWorkload{execute: opts.Execute, logs: make([]execLog, pool)}
+	wl := &topkWorkload{execute: opts.Execute, logs: make([]execLog, opts.Threads)}
 	if opts.LatencyJobs > 0 {
 		wl.base = time.Now()
 		wl.arrivals = make([]atomic.Int64, opts.LatencyJobs)
-		wl.lats = make([]latHist, pool)
+		wl.lats = make([]latHist, opts.Threads)
 	}
 	exec, err := engine.Start(wl, engine.Options{
 		ExecOptions: opts.ExecOptions,
 		Producers:   opts.Producers,
-		MinWorkers:  opts.MinWorkers,
-		MaxWorkers:  opts.MaxWorkers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
