@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -16,9 +17,9 @@ import (
 //	p sp <nodes> <arcs>
 //	a <from> <to> <weight>
 //
-// Node ids in the file are 1-based and are converted to 0-based. Weights
-// must be positive. The arc count in the header is checked against the
-// number of "a" lines.
+// Node ids in the file are 1-based and are converted to 0-based. The node
+// count must fit an int32 and weights must lie in [1, 2^30]. The arc count
+// in the header is checked against the number of "a" lines.
 func ParseDIMACS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -47,6 +48,10 @@ func ParseDIMACS(r io.Reader) (*Graph, error) {
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("dimacs: line %d: bad node count %q", line, fields[2])
 			}
+			if n > math.MaxInt32 {
+				// Targets are int32; refuse before anything is sized by n.
+				return nil, fmt.Errorf("dimacs: line %d: node count %d exceeds %d", line, n, math.MaxInt32)
+			}
 			m, err := strconv.Atoi(fields[3])
 			if err != nil || m < 0 {
 				return nil, fmt.Errorf("dimacs: line %d: bad arc count %q", line, fields[3])
@@ -72,6 +77,9 @@ func ParseDIMACS(r io.Reader) (*Graph, error) {
 			}
 			if w <= 0 {
 				return nil, fmt.Errorf("dimacs: line %d: non-positive weight in %q", line, text)
+			}
+			if w > 1<<30 {
+				return nil, fmt.Errorf("dimacs: line %d: weight exceeds 2^30 in %q", line, text)
 			}
 			b.AddArc(u-1, v-1, w)
 			arcs++

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"fmt"
+	"math"
+
 	"relaxsched/internal/rng"
 )
 
@@ -35,43 +38,86 @@ func Random(n, m int, maxW int64, seed uint64) *Graph {
 // road network. It is the synthetic substitute for DIMACS USA-road (24M
 // nodes), which we cannot ship; use ParseDIMACS for the real file.
 //
-// dropPerMille removes roughly that fraction (in 1/1000) of grid edges,
-// while keeping the graph connected by never dropping the first column's
-// vertical edges or the first row's horizontal edges.
+// Every horizontal edge is kept, so each row is a connected path.
+// dropPerMille removes roughly that fraction (in 1/1000) of the vertical
+// edges outside column 0; column 0 keeps all of its vertical edges, which
+// stitches the rows together and keeps the graph connected. Each edge is
+// stored as two arcs, and the arcs of vertex u come in the order up, left,
+// right, down (those that exist).
+//
+// It panics unless width, height >= 2, width·height <= math.MaxInt32 and
+// 1 <= maxW <= 2^30.
 func Road(width, height int, maxW int64, dropPerMille int, seed uint64) *Graph {
 	if width < 2 || height < 2 {
 		panic("graph: Road needs width, height >= 2")
 	}
+	if width > math.MaxInt32/height {
+		panic(fmt.Sprintf("graph: Road grid %dx%d has more than 2^31-1 nodes", width, height))
+	}
+	if maxW < 1 || maxW > 1<<30 {
+		panic(fmt.Sprintf("graph: Road maxW = %d, want 1..2^30", maxW))
+	}
 	r := rng.New(seed)
 	n := width * height
-	b := NewBuilder(n)
-	id := func(x, y int) int { return y*width + x }
-	weight := func() int64 {
+	weight := func() int32 {
 		// Physical-distance-like: mixture of short local roads and long
 		// highway segments.
 		if r.Intn(10) == 0 {
-			return 1 + int64(r.Uint64n(uint64(maxW)))
+			return 1 + int32(r.Uint64n(uint64(maxW)))
 		}
-		return 1 + int64(r.Uint64n(uint64(maxW/10+1)))
+		return 1 + int32(r.Uint64n(uint64(maxW/10+1)))
+	}
+	// Pass 1 draws every edge's weight in row-major order: the edge to
+	// the right, then the edge down (after its drop test). right[u] and
+	// down[u] hold the weights, 0 where there is no edge.
+	right := make([]int32, n)
+	down := make([]int32, n)
+	arcs := 0
+	for y := 0; y < height; y++ {
+		for x := 0; x < width; x++ {
+			u := y*width + x
+			if x+1 < width {
+				right[u] = weight()
+				arcs += 2
+			}
+			if y+1 < height && (x == 0 || r.Intn(1000) >= dropPerMille) {
+				down[u] = weight()
+				arcs += 2
+			}
+		}
+	}
+	// Pass 2 writes the CSR at its final size in one sweep.
+	g := &Graph{
+		NumNodes: n,
+		Offsets:  make([]int64, n+1),
+		Targets:  make([]int32, arcs),
+		Weights:  make([]int32, arcs),
+	}
+	i := 0
+	arc := func(v int, w int32) {
+		g.Targets[i] = int32(v)
+		g.Weights[i] = w
+		i++
 	}
 	for y := 0; y < height; y++ {
 		for x := 0; x < width; x++ {
-			if x+1 < width {
-				// Horizontal edges are always kept, so every row is a
-				// connected path.
-				b.AddEdge(id(x, y), id(x+1, y), weight())
+			u := y*width + x
+			if y > 0 && down[u-width] != 0 {
+				arc(u-width, down[u-width])
 			}
-			if y+1 < height {
-				// Vertical edges may be dropped, except in the first
-				// column, which stitches the rows together and guarantees
-				// global connectivity.
-				if x == 0 || r.Intn(1000) >= dropPerMille {
-					b.AddEdge(id(x, y), id(x, y+1), weight())
-				}
+			if x > 0 {
+				arc(u-1, right[u-1])
 			}
+			if right[u] != 0 {
+				arc(u+1, right[u])
+			}
+			if down[u] != 0 {
+				arc(u+width, down[u])
+			}
+			g.Offsets[u+1] = int64(i)
 		}
 	}
-	return b.Build()
+	return g
 }
 
 // Social generates a social-network-like graph by preferential attachment

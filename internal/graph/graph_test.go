@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,6 +107,74 @@ func TestRoadGraphShape(t *testing.T) {
 	d := HopDiameterEstimate(g, 0)
 	if d < 50 {
 		t.Fatalf("road diameter estimate %d too small for a 50x40 grid", d)
+	}
+}
+
+// TestRoadGolden pins the graphs Road builds: the hashes were computed
+// from Road's Builder implementation, so a change to Road that alters one
+// arc, one weight or the order of one vertex's arcs fails here. The first
+// shape is sssp-road's bench grid; the others keep every vertical edge
+// and drop every one outside column 0, the latter at the largest maxW.
+func TestRoadGolden(t *testing.T) {
+	for _, tc := range []struct {
+		width, height int
+		maxW          int64
+		drop          int
+		seed          uint64
+		want          string
+	}{
+		{1500, 1500, 100, 50, 1, "b063c2e7a7d7a98925b648dca3eca98f3fd2a29b5df4e01a1d50dd475e94fb49"},
+		{37, 23, 1000, 0, 7, "21dd4eb47d1b31c5f4af147847e86bc1538e2bf31461bd441ab1c0914497cd97"},
+		{41, 19, 1 << 30, 1000, 20190622, "08ee60df7fb76e10d315f8c51567adae34358fc00b8552dbef19c5d86c4a40f5"},
+	} {
+		g := Road(tc.width, tc.height, tc.maxW, tc.drop, tc.seed)
+		h := sha256.New()
+		var b [8]byte
+		for _, o := range g.Offsets {
+			binary.LittleEndian.PutUint64(b[:], uint64(o))
+			h.Write(b[:])
+		}
+		for _, v := range g.Targets {
+			binary.LittleEndian.PutUint32(b[:4], uint32(v))
+			h.Write(b[:4])
+		}
+		for _, w := range g.Weights {
+			binary.LittleEndian.PutUint32(b[:4], uint32(w))
+			h.Write(b[:4])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("Road(%d, %d, %d, %d, %d): hash %s, want %s", tc.width, tc.height, tc.maxW, tc.drop, tc.seed, got, tc.want)
+		}
+		if cap(g.Targets) != len(g.Targets) || cap(g.Weights) != len(g.Weights) || cap(g.Offsets) != len(g.Offsets) {
+			t.Errorf("Road(%d, %d, ...): CSR has spare capacity", tc.width, tc.height)
+		}
+	}
+}
+
+// TestRoadRejectsBadArguments checks that Road names its own bad
+// arguments instead of failing inside the rng or writing weights that do
+// not fit.
+func TestRoadRejectsBadArguments(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		width, height int
+		maxW          int64
+	}{
+		{"maxW 0", 4, 4, 0},
+		{"maxW negative", 4, 4, -3},
+		{"maxW over 2^30", 4, 4, 1<<30 + 1},
+		{"too many nodes", 1 << 16, 1 << 16, 100},
+		{"width too small", 1, 4, 100},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "graph: Road") {
+					t.Errorf("%s: panic %q, want a graph: Road message", tc.name, msg)
+				}
+			}()
+			Road(tc.width, tc.height, tc.maxW, 0, 1)
+		}()
 	}
 }
 
@@ -254,6 +325,15 @@ func TestParseDIMACSErrors(t *testing.T) {
 	for name, input := range cases {
 		if _, err := ParseDIMACS(strings.NewReader(input)); err == nil {
 			t.Fatalf("%s: expected error", name)
+		}
+	}
+	// Out-of-range values are errors that name their line, not panics.
+	for input, line := range map[string]string{
+		"p sp 2 1\na 1 2 2000000000\n": "line 2",
+		"c big\np sp 3000000000 0\n":   "line 2",
+	} {
+		if _, err := ParseDIMACS(strings.NewReader(input)); err == nil || !strings.Contains(err.Error(), line) {
+			t.Errorf("%q: error %v, want one naming %s", input, err, line)
 		}
 	}
 }

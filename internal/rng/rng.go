@@ -54,8 +54,16 @@ type Xoshiro struct {
 // New returns a Xoshiro seeded deterministically from seed. Different seeds
 // yield statistically independent streams.
 func New(seed uint64) *Xoshiro {
-	sm := NewSplitMix64(seed)
-	x := &Xoshiro{s0: sm.Next(), s1: sm.Next(), s2: sm.Next(), s3: sm.Next()}
+	// Small enough to inline, so a caller that keeps the generator local
+	// keeps it on its stack.
+	x := seeded(seed)
+	return &x
+}
+
+// seeded returns the generator New(seed) points to, by value.
+func seeded(seed uint64) Xoshiro {
+	sm := SplitMix64{state: seed}
+	x := Xoshiro{s0: sm.Next(), s1: sm.Next(), s2: sm.Next(), s3: sm.Next()}
 	// Avoid the (astronomically unlikely) all-zero state.
 	if x.s0|x.s1|x.s2|x.s3 == 0 {
 		x.s0 = 0x9e3779b97f4a7c15

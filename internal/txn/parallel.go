@@ -2,6 +2,8 @@ package txn
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"relaxsched/internal/engine"
@@ -133,12 +135,34 @@ func NewWorkload(spec WorkloadSpec, workers int, seeded bool) (*Workload, error)
 	for i := range w.logs {
 		w.logs[i].chunkWords = logChunkWords
 	}
-	for id := 0; id < spec.Txns; id++ {
-		lo, hi := id*w.stride, (id+1)*w.stride
-		// Capacity is exactly the slot, so Ops fills it in place.
-		g.Ops(int64(id), w.ops[lo:lo:hi])
-	}
+	w.fillOps(runtime.GOMAXPROCS(0))
 	return w, nil
+}
+
+// fillOps generates every transaction's operations into w.ops. Gen.Ops is
+// random-access, so [0, Txns) is cut into blocks contiguous runs, each
+// filled by its own goroutine into its own slots; the stream is the same
+// for any block count.
+func (w *Workload) fillOps(blocks int) {
+	txns := w.gen.spec.Txns
+	blocks = min(blocks, txns)
+	fill := func(from, to int) {
+		for id := from; id < to; id++ {
+			lo, hi := id*w.stride, (id+1)*w.stride
+			// Capacity is exactly the slot, so Ops fills it in place.
+			w.gen.Ops(int64(id), w.ops[lo:lo:hi])
+		}
+	}
+	var wg sync.WaitGroup
+	for b := 1; b < blocks; b++ {
+		wg.Add(1)
+		go func(from, to int) {
+			defer wg.Done()
+			fill(from, to)
+		}(b*txns/blocks, (b+1)*txns/blocks)
+	}
+	fill(0, txns/blocks)
+	wg.Wait()
 }
 
 // opsOf returns transaction id's operations.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -237,5 +238,62 @@ func TestGenStreamGolden(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("%+v: stream hash %s, want %s", tc.spec, got, tc.want)
 		}
+	}
+}
+
+// TestNewWorkloadStreamGolden checks that NewWorkload's pregenerated arena,
+// filled in parallel blocks, holds exactly the stream TestGenStreamGolden
+// pins for the benchmark's shape: at one and two procs, and at a block
+// count that does not divide Txns.
+func TestNewWorkloadStreamGolden(t *testing.T) {
+	spec := WorkloadSpec{Txns: 200000, Keys: 150000, Skew: 0.99, OpsPerTxn: 4, ReadFrac: 0.5, Seed: 1}
+	const want = "e5779b536b452664055e372ae21ed6efe20e36360f4906d4be54724bc5b034c8"
+	hash := func(ops []Op) string {
+		h := sha256.New()
+		var w [16]byte
+		for _, op := range ops {
+			binary.LittleEndian.PutUint32(w[0:], uint32(op.Key))
+			w[4] = byte(op.Kind)
+			binary.LittleEndian.PutUint64(w[8:], uint64(op.Arg))
+			h.Write(w[:])
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		wl, err := NewWorkload(spec, 2, true)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hash(wl.ops); got != want {
+			t.Errorf("GOMAXPROCS %d: stream hash %s, want %s", procs, got, want)
+		}
+	}
+	wl, err := NewWorkload(spec, 2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(wl.ops)
+	wl.fillOps(7) // 200000 = 7·28571 + 3
+	if got := hash(wl.ops); got != want {
+		t.Errorf("7 blocks: stream hash %s, want %s", got, want)
+	}
+}
+
+// TestGenOpsDoesNotAllocate checks that generating a transaction into a
+// caller's buffer allocates nothing: its rng stays on the stack.
+func TestGenOpsDoesNotAllocate(t *testing.T) {
+	g, err := NewGen(WorkloadSpec{Txns: 1000, Keys: 1000, Skew: 0.99, OpsPerTxn: 4, ReadFrac: 0.5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf [MaxOps]Op
+	id := int64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		g.Ops(id, buf[:])
+		id++
+	}); n != 0 {
+		t.Errorf("Gen.Ops allocates %v times per call, want 0", n)
 	}
 }
