@@ -49,14 +49,12 @@
 // frontier or from Ctx.Spawn inside a worker. Start opens the system to
 // external producers — Producer handles created with Execution.NewProducer
 // stream prioritized tasks into the queue while workers drain — and
-// termination is then redefined as "all registered producers closed AND
+// termination is then redefined as "all declared producers closed AND
 // in-flight quiescent" (the producer tallies and an open-producer count
 // join the same double scan; see internal/inflight's package comment for
-// why the extension stays provably safe). Producers may be declared up
-// front (Options.Producers) or registered dynamically after Start with
-// NewProducer/TryNewProducer; the first observed quiescence seals the
-// execution, so a late registration fails cleanly instead of streaming
-// into a terminated pool.
+// why the extension stays provably safe). Producers are declared at Start
+// (Options.Producers) and nowhere else: NewProducer hands out exactly that
+// many, so no producer can outlive the termination it gates.
 //
 // # Idle path: parking, not polling
 //
@@ -243,14 +241,11 @@ type ExecOptions struct {
 type Options struct {
 	ExecOptions
 	// Producers declares how many external producer handles will be created
-	// with Execution.NewProducer (>= 0). With a non-zero count the execution
-	// is an open system: termination additionally waits for every declared
-	// producer to be created and closed. Run requires 0 (closed world); use
-	// Start for streaming executions. Additional producers beyond the
-	// declared count may be registered dynamically after Start — but an
-	// execution with zero declared producers and an empty frontier
-	// terminates immediately, so a service that starts idle must declare at
-	// least one producer to hold the pool open.
+	// with Execution.NewProducer (>= 0); a call beyond it panics. With a
+	// non-zero count the execution is an open system: termination
+	// additionally waits for every declared producer to be created and
+	// closed. Run requires 0 (closed world); use Start for streaming
+	// executions.
 	Producers int
 }
 
@@ -413,15 +408,15 @@ func Run(wl Workload, opts Options) (Result, error) {
 // pool, returning an Execution handle. The frontier goes into the queue in
 // one deal before any worker starts (see the package comment); a frontier
 // pair with cq.ReservedPriority makes Start return an error with nothing
-// queued and nothing started. With opts.Producers > 0 the run is
-// an open system: the caller creates that many Producer handles with
-// NewProducer (plus any later dynamic ones), feeds the frontier through
-// them, closes each, and then Wait returns once every task — seeded,
-// spawned and streamed alike — has been completed. Idle workers park and
-// consume no CPU; every push wakes them, a producer closing while every
-// worker is parked broadcasts, and the first worker to observe quiescence
-// broadcasts before exiting, so termination stays prompt with nobody
-// polling (see the package comment for the full argument).
+// queued and nothing started. With opts.Producers > 0 the run is an open
+// system: the caller creates that many Producer handles with NewProducer,
+// feeds the frontier through them, closes each, and then Wait returns
+// once every task — seeded, spawned and streamed alike — has been
+// completed. Idle workers park and consume no CPU; every push wakes them,
+// a producer closing while every worker is parked broadcasts, and the
+// first worker to observe quiescence broadcasts before exiting, so
+// termination stays prompt with nobody polling (see the package comment
+// for the full argument).
 func Start(wl Workload, opts Options) (*Execution, error) {
 	if opts.Threads < 1 {
 		return nil, fmt.Errorf("engine: need Threads >= 1, got %d", opts.Threads)
@@ -459,7 +454,6 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 		lot:        park.NewLot(opts.Threads),
 		seedRng:    seedRng,
 		batch:      opts.BatchSize,
-		declared:   opts.Producers,
 		workers:    make([]workerState, opts.Threads),
 		maxRetries: opts.MaxBlockedRetries,
 		injector:   opts.Injector,
@@ -598,7 +592,7 @@ func (e *Execution) worker(wl Workload, ctx *Ctx) {
 			ctx.publish()
 			if counters.Quiescent() {
 				// Broadcast before exiting: parked peers re-run this same
-				// check on wake, observe the sealed quiescence and exit too.
+				// check on wake, observe the final quiescence and exit too.
 				e.lot.WakeAll()
 				break
 			}
@@ -657,7 +651,7 @@ func (e *Execution) workerBatched(wl Workload, ctx *Ctx) {
 			ctx.publish()
 			if counters.Quiescent() {
 				// Broadcast before exiting: parked peers re-run this same
-				// check on wake, observe the sealed quiescence and exit too.
+				// check on wake, observe the final quiescence and exit too.
 				e.lot.WakeAll()
 				break
 			}

@@ -63,7 +63,6 @@ func Run(t *testing.T, backend cq.Backend) {
 	t.Run("ProducerCloseIdleRace", func(t *testing.T) { testProducerCloseIdleRace(t, backend) })
 	t.Run("ParkWakeRace", func(t *testing.T) { testParkWakeRace(t, backend) })
 	t.Run("IdleParksWorkers", func(t *testing.T) { testIdleParksWorkers(t, backend) })
-	t.Run("DynamicProducers", func(t *testing.T) { testDynamicProducers(t, backend) })
 	t.Run("StopDrains", func(t *testing.T) { testStopDrains(t, backend) })
 	t.Run("StopAfterCompletion", func(t *testing.T) { testStopAfterCompletion(t, backend) })
 	t.Run("DeadlineInterrupts", func(t *testing.T) { testDeadlineInterrupts(t, backend) })
@@ -515,58 +514,6 @@ func testIdleParksWorkers(t *testing.T, backend cq.Backend) {
 	checkStats(t, st)
 	if st.Executed != 100 {
 		t.Fatalf("executed %d of 100 after unpark", st.Executed)
-	}
-}
-
-// testDynamicProducers exercises registration after Start: one declared
-// producer holds the system open while extra producers register
-// dynamically, stream and close — from multiple goroutines, racing the
-// declared producer's close. Every streamed job must execute exactly once,
-// and registration after termination must fail cleanly.
-func testDynamicProducers(t *testing.T, backend cq.Backend) {
-	const n, dynamics = 2000, 3
-	for _, batch := range batchSizes {
-		w := &streamWorkload{n: n, hits: make([]atomic.Int32, n)}
-		o := opts(backend, 4, batch, 41)
-		o.Producers = 1 // the anchor: holds termination open during registration
-		e, err := engine.Start(w, o)
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		anchor := e.NewProducer()
-		done := make(chan struct{}, dynamics)
-		per := n / (dynamics + 1)
-		for d := 0; d < dynamics; d++ {
-			go func(d int) {
-				defer func() { done <- struct{}{} }()
-				prod, err := e.TryNewProducer()
-				if err != nil {
-					t.Errorf("batch %d: dynamic registration failed: %v", batch, err)
-					return
-				}
-				defer prod.Close()
-				lo := (d + 1) * per
-				for i := lo; i < lo+per; i++ {
-					prod.Push(int64(i), int64(i))
-				}
-			}(d)
-		}
-		for i := 0; i < per; i++ {
-			anchor.Push(int64(i), int64(i))
-		}
-		for d := 0; d < dynamics; d++ {
-			<-done
-		}
-		anchor.Close()
-		st := e.Wait()
-		checkStats(t, st)
-		want := int64(per * (dynamics + 1))
-		if st.Executed != want {
-			t.Fatalf("batch %d: executed %d, want %d", batch, st.Executed, want)
-		}
-		if _, err := e.TryNewProducer(); err == nil {
-			t.Fatalf("batch %d: TryNewProducer succeeded after termination", batch)
-		}
 	}
 }
 

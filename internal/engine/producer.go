@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,11 +11,6 @@ import (
 	"relaxsched/internal/rng"
 )
 
-// ErrTerminated is returned by TryNewProducer once the execution has
-// terminated: quiescence was observed and sealed, the workers are exiting
-// or gone, and no new producer may stream into the pool.
-var ErrTerminated = errors.New("engine: execution already terminated")
-
 // Execution is a running engine instance as returned by Start: the worker
 // pool is live, and the caller holds the handle to create producers, to
 // Stop the run early and to wait for termination. The closed-world Run is
@@ -26,13 +20,12 @@ type Execution struct {
 	counters *inflight.Counter
 	lot      *park.Lot
 	batch    int
-	declared int
 
-	// mu guards seedRng (Split mutates it) and created; Start finishes its
-	// own splits before returning, so worker streams never race these.
+	// mu serializes NewProducer's seedRng.Split (Split mutates it); Start
+	// finishes its own splits before returning, so worker streams never
+	// race it.
 	mu      sync.Mutex
 	seedRng *rng.Xoshiro
-	created int
 
 	// workers are the per-worker shared stat blocks (see watchdog.go):
 	// written by their worker, read by the watchdog and Wait.
@@ -61,53 +54,27 @@ type Execution struct {
 	waitOnce sync.Once
 }
 
-// NewProducer returns an external producer handle. The first
-// Options.Producers calls claim the declared registrations (the execution
-// cannot terminate before every declared producer has been created and
-// closed, so these never race a finished run); further calls register
-// dynamically and panic if the execution has already terminated — use
-// TryNewProducer where that race is expected. It is safe to call from any
+// NewProducer returns an external producer handle, one of the
+// Options.Producers declared at Start. The execution cannot terminate
+// before every declared producer has been created and closed, so a
+// producer never streams into a finished run; a call beyond the declared
+// count panics, before or after termination. It is safe to call from any
 // goroutine, but each returned Producer must then be used by a single
 // goroutine at a time.
 func (e *Execution) NewProducer() *Producer {
-	p, err := e.TryNewProducer()
-	if err != nil {
-		panic("engine: NewProducer on a terminated execution (declare producers up front, or use TryNewProducer)")
-	}
-	return p
-}
-
-// TryNewProducer returns an external producer handle, registering it
-// dynamically once the declared count is exhausted. It fails with
-// ErrTerminated if the execution has already terminated: the registration
-// handshake (inflight's seal; see that package's comment) guarantees that
-// a success here means the workers will serve everything the producer
-// streams, and a terminated execution yields this error rather than a
-// silently dead producer. On a stopped-but-unfinished execution it still
-// succeeds, returning a producer whose pushes are absorbed — the same
-// semantics every live producer has after Stop.
-func (e *Execution) TryNewProducer() (*Producer, error) {
+	slot := e.counters.Attach() // panics beyond the declared count
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	var ps *inflight.ProducerSlot
-	if e.created < e.declared {
-		ps = e.counters.Attach()
-	} else {
-		var ok bool
-		if ps, ok = e.counters.Register(); !ok {
-			return nil, ErrTerminated
-		}
-	}
-	e.created++
+	r := e.seedRng.Split()
+	e.mu.Unlock()
 	p := &Producer{
 		exec:    e,
-		slot:    ps,
-		pushBuf: pushBuf{r: e.seedRng.Split(), mq: cq.HandleFor(e.mq), lot: e.lot, batch: e.batch},
+		slot:    slot,
+		pushBuf: pushBuf{r: r, mq: cq.HandleFor(e.mq), lot: e.lot, batch: e.batch},
 	}
 	if e.batch > 1 {
 		p.out = make([]cq.Pair, 0, e.batch)
 	}
-	return p, nil
+	return p
 }
 
 // ParkedWorkers returns the number of workers currently parked on the
@@ -221,7 +188,7 @@ func (p *Producer) Flush() {
 
 // Close flushes any buffered pairs, releases the producer's queue handle
 // (its epoch slot, on backends that have one) and marks the producer done.
-// Once every registered producer has closed and the queue drains, the
+// Once every declared producer has closed and the queue drains, the
 // workers terminate. Closing broadcasts to parked workers: the close that
 // completes the termination condition may land while every worker is
 // asleep, and the woken workers re-run the quiescence scan and exit. Close

@@ -155,21 +155,32 @@ func TestProducerDoubleCloseSafe(t *testing.T) {
 	}
 }
 
-// NewProducer beyond the declared count registers dynamically: the extra
-// producer's stream must be fully served, and termination must wait for it.
-func TestNewProducerBeyondDeclaredRegisters(t *testing.T) {
+// TestNewProducerBeyondDeclaredPanics: an execution hands out exactly
+// Options.Producers producers. A third NewProducer on a 2-producer
+// execution panics while the run is live — and changes nothing: the two
+// declared streams are still served and the run still terminates — and
+// panics again after termination.
+func TestNewProducerBeyondDeclaredPanics(t *testing.T) {
 	const n = 100
-	e, wl := startRecording(t, n, 1, 0)
-	declared := e.NewProducer()
-	dynamic := e.NewProducer() // beyond Options.Producers: dynamic registration
-	for i := 0; i < n/2; i++ {
-		declared.Push(int64(i), int64(i))
-		dynamic.Push(int64(n/2+i), int64(n/2+i))
+	e, wl := startRecording(t, n, 2, 0)
+	a, b := e.NewProducer(), e.NewProducer()
+	mustPanic := func(when string) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("third NewProducer %s termination did not panic", when)
+			}
+		}()
+		e.NewProducer()
 	}
-	declared.Close()
-	dynamic.Close()
-	st := e.Wait()
-	if st.Executed != n {
+	mustPanic("before")
+	for i := 0; i < n/2; i++ {
+		a.Push(int64(i), int64(i))
+		b.Push(int64(n/2+i), int64(n/2+i))
+	}
+	a.Close()
+	b.Close()
+	if st := e.Wait(); st.Executed != n {
 		t.Fatalf("executed %d, want %d", st.Executed, n)
 	}
 	for i := range wl.hits {
@@ -177,25 +188,7 @@ func TestNewProducerBeyondDeclaredRegisters(t *testing.T) {
 			t.Fatalf("job %d executed %d times", i, got)
 		}
 	}
-}
-
-// After termination the registration handshake must fail: TryNewProducer
-// returns ErrTerminated, NewProducer panics.
-func TestNewProducerAfterTermination(t *testing.T) {
-	e, _ := startRecording(t, 1, 1, 0)
-	p := e.NewProducer()
-	p.Push(0, 0)
-	p.Close()
-	e.Wait()
-	if _, err := e.TryNewProducer(); err != engine.ErrTerminated {
-		t.Fatalf("TryNewProducer after termination: err = %v, want ErrTerminated", err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewProducer after termination did not panic")
-		}
-	}()
-	e.NewProducer()
+	mustPanic("after")
 }
 
 func TestRunRejectsProducers(t *testing.T) {
@@ -224,45 +217,5 @@ func TestUnusedProducerGatesTermination(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("execution did not terminate after the producer closed")
-	}
-}
-
-// TestProducerChurnRecyclesSlots registers and closes 10k dynamic
-// producers on one execution. The inflight layer recycles a closed
-// producer's tally slot for the next TryNewProducer (see
-// inflight.Counter), so this churn must neither leak per-producer state
-// nor disturb the exactly-once accounting of the tasks the short-lived
-// producers pushed.
-func TestProducerChurnRecyclesSlots(t *testing.T) {
-	const cycles = 10000
-	e, wl := startRecording(t, cycles, 1, 0)
-	anchor := e.NewProducer() // the declared producer holds the run open
-	for i := 0; i < cycles; i++ {
-		p, err := e.TryNewProducer()
-		if err != nil {
-			t.Fatalf("cycle %d: %v", i, err)
-		}
-		if i%3 == 0 {
-			p.Push(int64(i), int64(i))
-		}
-		p.Close()
-	}
-	for i := 0; i < cycles; i++ {
-		if i%3 != 0 {
-			anchor.Push(int64(i), int64(i))
-		}
-	}
-	anchor.Close()
-	st := e.Wait()
-	if st.Executed != cycles {
-		t.Fatalf("executed %d, want %d", st.Executed, cycles)
-	}
-	for i := range wl.hits {
-		if got := wl.hits[i].Load(); got != 1 {
-			t.Fatalf("task %d executed %d times", i, got)
-		}
-	}
-	if _, err := e.TryNewProducer(); err != engine.ErrTerminated {
-		t.Fatalf("TryNewProducer after termination: %v, want ErrTerminated", err)
 	}
 }

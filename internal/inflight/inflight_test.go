@@ -1,6 +1,7 @@
 package inflight
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,15 +29,11 @@ func TestSequentialAccounting(t *testing.T) {
 	if !c.Quiescent() {
 		t.Fatal("not quiescent after draining")
 	}
-	// Quiescence seals: the counter is now terminal.
-	if !c.Sealed() {
-		t.Fatal("quiescent counter not sealed")
-	}
 }
 
 // TestCompleteNBatches: CompleteN(w, n) is n Completes on w's slot, a zero
 // batch records nothing, and a batch that leaves one task unrecorded keeps
-// the counter from sealing.
+// the counter from quiescing.
 func TestCompleteNBatches(t *testing.T) {
 	c := New(2)
 	c.ProduceN(0, 70)
@@ -61,23 +58,8 @@ func TestCompleteNBatches(t *testing.T) {
 	}
 }
 
-func TestFreshClosedWorldSealsImmediately(t *testing.T) {
-	// A closed-world counter with nothing produced is quiescent (an empty
-	// frontier terminates at once), and the observation is permanent.
-	c := New(1)
-	if !c.Quiescent() {
-		t.Fatal("fresh closed-world counter not quiescent")
-	}
-	if !c.Sealed() {
-		t.Fatal("observed quiescence did not seal")
-	}
-	if _, ok := c.Register(); ok {
-		t.Fatal("Register succeeded on a sealed counter")
-	}
-}
-
 func TestOpenProducerAccounting(t *testing.T) {
-	// 2 workers + 2 pre-registered producers. Quiescent must stay false —
+	// 2 workers + 2 declared producers. Quiescent must stay false —
 	// even with zero tasks anywhere — until both producers close.
 	c := NewOpen(2, 2)
 	if c.Quiescent() {
@@ -119,37 +101,6 @@ func TestOpenProducerAccounting(t *testing.T) {
 	}
 }
 
-func TestDynamicRegistration(t *testing.T) {
-	// Zero producers declared: the counter starts closed-world, a dynamic
-	// Register opens it, and sealing permanently refuses late arrivals.
-	c := NewOpen(1, 0)
-	p, ok := c.Register()
-	if !ok {
-		t.Fatal("Register failed on an unsealed counter")
-	}
-	if c.Open() != 1 {
-		t.Fatalf("Open = %d, want 1", c.Open())
-	}
-	if c.Quiescent() {
-		t.Fatal("quiescent with a dynamically registered open producer")
-	}
-	p.Produce()
-	p.Close()
-	if c.Quiescent() {
-		t.Fatal("quiescent with the streamed task live")
-	}
-	c.Complete(0)
-	if !c.Quiescent() {
-		t.Fatal("not quiescent after close and drain")
-	}
-	if _, ok := c.Register(); ok {
-		t.Fatal("Register succeeded after seal")
-	}
-	if !c.Quiescent() {
-		t.Fatal("sealed counter stopped reporting quiescent")
-	}
-}
-
 func TestCloseOverrunPanics(t *testing.T) {
 	c := NewOpen(1, 1)
 	p := c.Attach()
@@ -160,6 +111,41 @@ func TestCloseOverrunPanics(t *testing.T) {
 		}
 	}()
 	p.Close()
+}
+
+func TestAttachBeyondDeclaredPanics(t *testing.T) {
+	c := NewOpen(1, 2)
+	c.Attach()
+	c.Attach()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("third Attach on a 2-producer counter did not panic")
+		}
+	}()
+	c.Attach()
+}
+
+// TestQuiescentIsFinal: once Quiescent has returned true, every later call
+// returns true too — for a fresh closed-world counter (an empty frontier
+// terminates at once) and for an open one whose producers closed and
+// whose tasks drained.
+func TestQuiescentIsFinal(t *testing.T) {
+	closed := New(1)
+	open := NewOpen(2, 2)
+	p0, p1 := open.Attach(), open.Attach()
+	p0.ProduceN(3)
+	p0.Close()
+	p1.Produce()
+	p1.Close()
+	open.CompleteN(0, 2)
+	open.CompleteN(1, 2)
+	for name, c := range map[string]*Counter{"closed": closed, "open": open} {
+		for i := 0; i < 100; i++ {
+			if !c.Quiescent() {
+				t.Fatalf("%s: Quiescent false on call %d", name, i)
+			}
+		}
+	}
 }
 
 func TestNewOpenValidation(t *testing.T) {
@@ -176,6 +162,22 @@ func TestSlotPadding(t *testing.T) {
 	// completed words of different workers never share a line.
 	if s := unsafe.Sizeof(slot{}); s < 128 {
 		t.Fatalf("slot is %d bytes, want >= 128", s)
+	}
+	// The open count, loaded by every scan and written by every producer
+	// Close, shares no line with a slot or with the slots header that
+	// every Produce and Complete reads.
+	const line = 64
+	c := NewOpen(3, 2)
+	open := uintptr(unsafe.Pointer(&c.open)) / line
+	if header := uintptr(unsafe.Pointer(&c.slots)) / line; open == header {
+		t.Fatal("open shares a cache line with the slots header")
+	}
+	for i := range c.slots {
+		first := uintptr(unsafe.Pointer(&c.slots[i])) / line
+		last := (uintptr(unsafe.Pointer(&c.slots[i])) + unsafe.Sizeof(slot{}) - 1) / line
+		if first <= open && open <= last {
+			t.Fatalf("open shares a cache line with slot %d", i)
+		}
 	}
 }
 
@@ -241,144 +243,94 @@ func TestNeverFalselyQuiescent(t *testing.T) {
 	}
 }
 
-// TestRegisterSealRace races dynamic registrations against termination
-// scans: every registration must either succeed — and then its stream is
-// fully served before any true Quiescent — or fail against a sealed
-// counter. A registration that succeeds after a seal, or a seal that lands
-// while a registered producer still has live work, is a protocol violation.
-func TestRegisterSealRace(t *testing.T) {
-	const attempts = 2000
-	for round := 0; round < 20; round++ {
-		c := NewOpen(1, 0)
-		var registered, served atomic.Int64
-		var violation atomic.Bool
+// TestDeclaredProducersStress streams from P declared producers, each
+// attaching, producing in chunks and closing on its own goroutine, while
+// one worker completes every task it can see and a second goroutine polls
+// Quiescent. Producers wait for the worker to catch up after each chunk,
+// so the tallies balance often and a producer's final chunk and Close land
+// while the pollers' scans see no live task: exactly the window in which a
+// scan that read open after the tallies would report a false true. A true
+// Quiescent must never land while a producer has yet to close or a task is
+// live, and at the end every produced task has been served exactly once.
+func TestDeclaredProducersStress(t *testing.T) {
+	const (
+		producers = 3
+		perProd   = 40
+		total     = producers * perProd
+	)
+	for round := 0; round < 3000; round++ {
+		// 16 worker slots, one of them used: the idle slots only lengthen
+		// each scan, and so the window a misordered scan would expose.
+		c := NewOpen(16, producers)
+		var closing [producers]atomic.Bool
+		var served atomic.Int64
+		var violation atomic.Value
+		// check runs after a true Quiescent: every producer must have
+		// started its Close, and every task must have been served.
+		check := func(who string) {
+			for p := range closing {
+				if !closing[p].Load() {
+					violation.Store(who + ": quiescent while a producer was open")
+					return
+				}
+			}
+			if got := served.Load(); got != total {
+				violation.Store(who + ": quiescent with live tasks")
+			}
+		}
 		var wg sync.WaitGroup
-		// Scanner: a worker polling for termination, completing any tasks
-		// it can see (Live > 0 means a producer's push landed).
-		wg.Add(1)
-		go func() {
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				s := c.Attach()
+				for sent := 0; sent < perProd; {
+					for sent > 0 && c.Live() > 0 {
+						runtime.Gosched() // let the worker catch up
+					}
+					n := min(1+(sent+p)%4, perProd-sent)
+					if n == 1 {
+						s.Produce()
+					} else {
+						s.ProduceN(int64(n))
+					}
+					sent += n
+				}
+				closing[p].Store(true)
+				s.Close()
+			}(p)
+		}
+		wg.Add(2)
+		go func() { // the worker: served is counted before its Complete
 			defer wg.Done()
-			for {
+			for served.Load() < total {
 				if c.Live() > 0 {
-					c.Complete(0)
 					served.Add(1)
+					c.Complete(0)
 					continue
 				}
 				if c.Quiescent() {
-					return
+					check("worker")
 				}
+				runtime.Gosched()
 			}
 		}()
-		// Registrars: hammer Register; each success produces one task and
-		// closes. After the first failure the counter must be sealed.
-		wg.Add(1)
-		go func() {
+		go func() { // a scanner that only polls
 			defer wg.Done()
-			for i := 0; i < attempts; i++ {
-				p, ok := c.Register()
-				if !ok {
-					if !c.Sealed() {
-						violation.Store(true)
-					}
-					return
-				}
-				registered.Add(1)
-				p.Produce()
-				p.Close()
+			for !c.Quiescent() {
+				runtime.Gosched()
 			}
+			check("scanner")
 		}()
 		wg.Wait()
-		if violation.Load() {
-			t.Fatal("Register failed on an unsealed counter")
+		if v := violation.Load(); v != nil {
+			t.Fatalf("round %d: %s", round, v)
 		}
-		if !c.Sealed() {
-			t.Fatal("counter not sealed after scanner exit")
+		if !c.Quiescent() {
+			t.Fatalf("round %d: not quiescent after every task was served", round)
 		}
-		if served.Load() != registered.Load() {
-			t.Fatalf("round %d: %d registered streams, %d served — the seal abandoned live work",
-				round, registered.Load(), served.Load())
+		if produced, completed := c.Tallies(); produced != total || completed != total {
+			t.Fatalf("round %d: Tallies = (%d, %d), want (%d, %d)", round, produced, completed, total, total)
 		}
-	}
-}
-
-// TestSlotRecycling churns 10k register/close cycles: every Close must
-// return its slot to the free stack and the next Register must reuse it,
-// so the RCU slot list stays at the peak number of *concurrently* open
-// producers instead of growing per registration, and the monotone tallies
-// survive the recycling (the final seal still balances).
-func TestSlotRecycling(t *testing.T) {
-	c := New(1)
-	const cycles = 10000
-	var produced int64
-	for i := 0; i < cycles; i++ {
-		p, ok := c.Register()
-		if !ok {
-			t.Fatalf("cycle %d: register failed before seal", i)
-		}
-		p.Produce()
-		produced++
-		p.Close()
-	}
-	if got := len(*c.prods.Load()); got != 1 {
-		t.Fatalf("slot list grew to %d entries over %d sequential register/close cycles, want 1 recycled slot", got, cycles)
-	}
-	// Drain the producer-born tasks through the worker slot and seal.
-	for i := int64(0); i < produced; i++ {
-		c.Complete(0)
-	}
-	if !c.Quiescent() {
-		t.Fatal("counter not quiescent after all recycled producers closed and drained")
-	}
-
-	// Concurrent churn: the list may grow to the number of goroutines, but
-	// no further.
-	c2 := New(1)
-	const workers, perWorker = 8, 1250
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				p, ok := c2.Register()
-				if !ok {
-					t.Error("register failed before seal")
-					return
-				}
-				p.Close()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := len(*c2.prods.Load()); got > workers {
-		t.Fatalf("slot list grew to %d entries with at most %d producers open at once", got, workers)
-	}
-	if !c2.Quiescent() {
-		t.Fatal("counter not quiescent after concurrent churn")
-	}
-}
-
-// TestRecycledSlotKeepsCounting checks the tally-transfer invariant: a
-// recycled slot's produced count is the sum over every producer generation
-// that used it, and Quiescent stays false until the whole sum is drained.
-func TestRecycledSlotKeepsCounting(t *testing.T) {
-	c := New(1)
-	p1, _ := c.Register()
-	p1.ProduceN(3)
-	p1.Close()
-	p2, _ := c.Register()
-	if p2.s != p1.s {
-		t.Fatal("second register did not recycle the closed producer's slot")
-	}
-	p2.ProduceN(2)
-	p2.Close()
-	for i := 0; i < 5; i++ {
-		if c.Quiescent() {
-			t.Fatalf("quiescent with %d tasks undrained", 5-i)
-		}
-		c.Complete(0)
-	}
-	if !c.Quiescent() {
-		t.Fatal("not quiescent after draining both generations")
 	}
 }

@@ -378,11 +378,6 @@ type ParallelOptions struct {
 	// the Blocked-retry cap (which here bounds OCC retries per
 	// transaction; 0 retries forever).
 	engine.ExecOptions
-	// Producers, when positive, streams the transactions in through that
-	// many engine Producer handles (round-robin by label, paced only by
-	// the queue) — the open-system arrival mode. 0 seeds the whole batch
-	// through the frontier instead (closed world).
-	Producers int
 }
 
 // ParallelResult is a finished parallel transactional run.
@@ -414,32 +409,11 @@ func ParallelRun(spec WorkloadSpec, opts ParallelOptions) (ParallelResult, error
 	if opts.Threads < 1 {
 		return ParallelResult{}, fmt.Errorf("txn: Threads = %d, want >= 1", opts.Threads)
 	}
-	if opts.Producers < 0 {
-		return ParallelResult{}, fmt.Errorf("txn: Producers = %d, want >= 0", opts.Producers)
-	}
-	wl, err := NewWorkload(spec, opts.Threads, opts.Producers == 0)
+	wl, err := NewWorkload(spec, opts.Threads, true)
 	if err != nil {
 		return ParallelResult{}, err
 	}
-
-	var st engine.Result
-	if opts.Producers == 0 {
-		st, err = engine.Run(wl, engine.Options{ExecOptions: opts.ExecOptions})
-	} else {
-		var exec *engine.Execution
-		exec, err = engine.Start(wl, engine.Options{ExecOptions: opts.ExecOptions, Producers: opts.Producers})
-		if err == nil {
-			for p := 0; p < opts.Producers; p++ {
-				go func(prod *engine.Producer, lo int) {
-					for id := lo; id < spec.Txns; id += opts.Producers {
-						prod.Push(int64(id), int64(id))
-					}
-					prod.Close()
-				}(exec.NewProducer(), p)
-			}
-			st = exec.Wait()
-		}
-	}
+	st, err := engine.Run(wl, engine.Options{ExecOptions: opts.ExecOptions})
 	if err != nil {
 		return ParallelResult{}, fmt.Errorf("txn: %w", err)
 	}

@@ -46,22 +46,6 @@ func TestParallelRunAllBackends(t *testing.T) {
 	}
 }
 
-// TestParallelRunProducers streams the transactions through engine
-// producers (the open-system arrival mode) instead of the frontier.
-func TestParallelRunProducers(t *testing.T) {
-	spec := WorkloadSpec{Txns: 3000, Keys: 64, Skew: 0.99, OpsPerTxn: 3, ReadFrac: 0.4, Seed: 5}
-	res, err := ParallelRun(spec, ParallelOptions{
-		ExecOptions: execOpts(cq.MultiQueueBackend, 4, 8, 33),
-		Producers:   3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Commits != int64(spec.Txns) {
-		t.Fatalf("commits = %d, want %d", res.Commits, spec.Txns)
-	}
-}
-
 // TestQuarantineAccounting caps OCC retries low under heavy contention:
 // whatever the engine gives up on must be counted, the rest must commit,
 // and the commit log must still certify.
@@ -97,11 +81,6 @@ func TestParallelRunValidation(t *testing.T) {
 	spec := WorkloadSpec{Txns: 10, Keys: 10, OpsPerTxn: 1, ReadFrac: 0.5}
 	if _, err := ParallelRun(spec, ParallelOptions{}); err == nil {
 		t.Error("Threads = 0 accepted")
-	}
-	bad := ParallelOptions{ExecOptions: execOpts(cq.MultiQueueBackend, 2, 0, 1)}
-	bad.Producers = -1
-	if _, err := ParallelRun(spec, bad); err == nil {
-		t.Error("negative Producers accepted")
 	}
 	if _, err := ParallelRun(WorkloadSpec{}, ParallelOptions{ExecOptions: execOpts(cq.MultiQueueBackend, 2, 0, 1)}); err == nil {
 		t.Error("invalid spec accepted")

@@ -530,8 +530,7 @@ func SimulateTransactionSpec(spec TxnWorkloadSpec, cfg TxnConfig) (TxnResult, er
 }
 
 // ParallelTxnOptions configure ParallelTransactions: the embedded engine
-// ExecOptions plus the number of external Producer goroutines (0 = seed
-// the whole stream through the frontier instead).
+// ExecOptions; the whole stream is seeded through the frontier.
 type ParallelTxnOptions = txn.ParallelOptions
 
 // ParallelTxnResult reports a finished parallel transactional run:

@@ -257,7 +257,6 @@ func TestFacadeParallelTransactions(t *testing.T) {
 	}
 	res, err := relaxsched.ParallelTransactions(spec, relaxsched.ParallelTxnOptions{
 		ExecOptions: relaxsched.ExecOptions{Threads: 4, QueueMultiplier: 2, Seed: 3},
-		Producers:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
